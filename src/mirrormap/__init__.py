@@ -1,7 +1,7 @@
 """Exact-rational engine for hypergeometric mirror maps, Yukawa couplings,
 and the nonlinear differential identities that couple them."""
 
-from .series import (HJet, LogSeries, PowerSeries, Q, TruncationError,
+from .series import (LogSeries, PowerSeries, Q, TruncationError,
                      VariableMismatch, rat, series_from_record,
                      series_to_record)
 from .operators import (DeltaOperator, Poly, RationalFunction,
@@ -11,8 +11,8 @@ from .operators import (DeltaOperator, Poly, RationalFunction,
                         second_order_normal_form, symmetric_square_check)
 from .mirror import (MirrorData, integrality_report, mirror_data,
                      mirror_pipeline, verify_hodge_identity)
-from .yukawa import (InstantonTable, TPolyQSeries, eisenstein_analog,
-                     evaluate_F0_at, instanton_numbers, lambert_expand,
+from .yukawa import (InstantonTable, eisenstein_analog, evaluate_F0_at,
+                     instanton_numbers, integrality_suite, lambert_expand,
                      prepotential, t_functions, verify_pandharipande,
                      verify_yukawa_identity, yukawa_coupling)
 from .wronskian import (DiffPolynomial, IndeterminateWronskian, r_operator,
@@ -26,7 +26,7 @@ from .golden import GOLDEN_TABLES, golden_report
 __version__ = "0.1.0"
 
 __all__ = [
-    "HJet", "LogSeries", "PowerSeries", "Q", "TruncationError",
+    "LogSeries", "PowerSeries", "Q", "TruncationError",
     "VariableMismatch", "rat", "series_from_record", "series_to_record",
     "DeltaOperator", "Poly", "RationalFunction", "build_operator",
     "eighth_operator", "fourth_order_normal_form", "frobenius_basis",
@@ -34,8 +34,9 @@ __all__ = [
     "second_order_normal_form", "symmetric_square_check",
     "MirrorData", "integrality_report", "mirror_data", "mirror_pipeline",
     "verify_hodge_identity",
-    "InstantonTable", "TPolyQSeries", "eisenstein_analog", "evaluate_F0_at",
-    "instanton_numbers", "lambert_expand", "prepotential", "t_functions",
+    "InstantonTable", "eisenstein_analog", "evaluate_F0_at",
+    "instanton_numbers", "integrality_suite", "lambert_expand",
+    "prepotential", "t_functions",
     "verify_pandharipande", "verify_yukawa_identity", "yukawa_coupling",
     "DiffPolynomial", "IndeterminateWronskian", "r_operator", "r_substitute",
     "schwarzian", "wronskian",

@@ -5,19 +5,20 @@ failure, 2 usage error."""
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
 
 from .golden import golden_report
-from .mirror import integrality_report, mirror_data
+from .mirror import mirror_data
 from .relations import (relation_search, verify_duality, verify_eq_fourth,
                         verify_eq_schwarzian, verify_eq_second)
-from .series import Q, LogSeries, series_from_record, series_to_record
+from .series import LogSeries, series_from_record, series_to_record
 from .wronskian import IndeterminateWronskian, wronskian
-from .yukawa import (evaluate_F0_at, instanton_numbers, prepotential,
-                     verify_pandharipande, verify_yukawa_identity,
-                     yukawa_coupling)
+from .yukawa import (evaluate_F0_at, instanton_numbers, integrality_suite,
+                     prepotential, verify_pandharipande,
+                     verify_yukawa_identity, yukawa_coupling)
 from .mirror import verify_hodge_identity
 
 
@@ -118,8 +119,8 @@ def prepotential_cmd(order, fmt, out):
     """Emit the prepotential as a polynomial in t with q-series parts."""
     _check_order(order)
     F = prepotential(order)
-    _emit({"t_powers": [series_to_record(F.term(k))
-                        for k in range(F.t_degree + 1)]}, fmt, out)
+    _emit({"t_powers": [series_to_record(F.part(k) / math.factorial(k))
+                        for k in range(F.log_degree + 1)]}, fmt, out)
 
 
 @main.command("eval-f0")
@@ -285,17 +286,7 @@ def duality(order, fmt, out):
 def integrality(order, fmt, out):
     """Integer coefficients of the mirror maps and K/5."""
     _check_order(order)
-    slack = order + 2
-    items = []
-    for s in (3, 4, 5):
-        md = mirror_data(s, slack)
-        q_over_z = md.q_of_z.shift(-1)
-        for name, f in (("z_of_q", md.z_of_q), ("q_of_z/z", q_over_z),
-                        ("f0_tilde", md.f0_tilde)):
-            rep = integrality_report(f, order)
-            items.append({"item": f"s{s}.{name}", **rep})
-    k5 = yukawa_coupling(slack) * Q(1, 5)
-    items.append({"item": "K/5", **integrality_report(k5, order)})
+    items = integrality_suite(order)
     ok = all(item["pass"] for item in items)
     _emit({"check": "integrality", "order": order, "pass": ok,
            "items": items}, fmt, out)
@@ -327,15 +318,8 @@ def verify_all(order, fmt, out):
     g_items = golden_report(order)
     checks.append({"check": "golden",
                    "pass": all(i["status"] != "fail" for i in g_items)})
-    slack = order + 2
-    intact = True
-    for s in (3, 4, 5):
-        md = mirror_data(s, slack)
-        for f in (md.z_of_q, md.q_of_z.shift(-1), md.f0_tilde):
-            intact = intact and integrality_report(f, order)["pass"]
-    intact = intact and integrality_report(
-        yukawa_coupling(slack) * Q(1, 5), order)["pass"]
-    checks.append({"check": "integrality", "pass": intact})
+    checks.append({"check": "integrality",
+                   "pass": all(i["pass"] for i in integrality_suite(order))})
     ok = all(c["pass"] for c in checks)
     _emit({"check": "all", "order": order, "pass": ok, "checks": checks},
           fmt, out)

@@ -7,10 +7,9 @@ via z^k (d/dz)^k = delta(delta-1)...(delta-k+1).
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, factorial
 
-from .series import (BIG_ORDER, HJet, LogSeries, PowerSeries, Q, ZERO, ONE,
-                     rat)
+from .series import BIG_ORDER, LogSeries, PowerSeries, Q, ZERO, ONE, rat
 
 
 class Poly:
@@ -316,14 +315,7 @@ def stirling2(n, k):
     total = 0
     for j in range(k + 1):
         total += (-1) ** (k - j) * comb(k, j) * j ** n
-    return total // _factorial(k)
-
-
-def _factorial(n):
-    r = 1
-    for i in range(2, n + 1):
-        r *= i
-    return r
+    return total // factorial(k)
 
 
 def _product_factors(s):
@@ -378,25 +370,20 @@ def frobenius_basis(s: int, order: int):
     """Fundamental solutions f_0..f_{s-2} of the mirror operator at z=0.
 
     Built from the H-jet of the deformed coefficient ratio
-    prod_{k<=s*l}(sH+k) / prod_{k<=l}(H+k)^s mod H^{s-1}; the jet
-    component g_m gives f_j = sum_m g_m log^{j-m} z/(j-m)!.
+    prod_{k<=s*l}(sH+k) / prod_{k<=l}(H+k)^s, a PowerSeries in H of order
+    s-1; the jet component g_m gives f_j = sum_m g_m log^{j-m} z/(j-m)!.
     """
     if s < 3:
         raise ValueError("s >= 3 required")
     r = s - 1
-    g = [[ZERO] * order for _ in range(r)]
-    a = HJet.constant(1, r)
-    g_row = a.coeffs
-    for m in range(r):
-        g[m][0] = g_row[m]
+    a = PowerSeries.one("H", r)
+    g = [[a.coeff(m)] for m in range(r)]
     for l in range(1, order):
         for k in range(s * (l - 1) + 1, s * l + 1):
-            a = a * HJet.linear(k, s, r)
-        inv = HJet.linear(l, 1, r).inverse()
-        for _ in range(s):
-            a = a * inv
+            a = a * PowerSeries("H", 0, (k, s), r)
+        a = a * PowerSeries("H", 0, (l, 1), r).inverse() ** s
         for m in range(r):
-            g[m][l] = a.coeffs[m]
+            g[m].append(a.coeff(m))
     gs = [PowerSeries("z", 0, g[m], order) for m in range(r)]
     basis = []
     for j in range(r):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .linalg import nullspace
+from .linalg import _to_int_rows, nullspace
 from .mirror import mirror_data
 from .operators import (Poly, RationalFunction, eighth_operator,
                         fourth_order_normal_form, mirror_operator,
@@ -47,16 +47,21 @@ def quintic_normal_form():
     return fourth_order_normal_form(mirror_operator(5))
 
 
+def euler_ladder(f: PowerSeries, count: int):
+    """[f, f', ..., f^(count)] with ' = delta_q."""
+    out = [f]
+    for _ in range(count):
+        out.append(out[-1].euler())
+    return out
+
+
 def log_yukawa_derivs(K: PowerSeries, count: int):
     """[u', u'', ...] for u = log K with ' = delta_q.
 
     u itself is never materialized (its constant term log K(0) is not
     rational); only the derivatives, starting from u' = K'/K, are.
     """
-    out = [K.euler() / K]
-    for _ in range(count - 1):
-        out.append(out[-1].euler())
-    return out
+    return euler_ladder(K.euler() / K, count - 1)
 
 
 def b_quantities(u_derivs):
@@ -71,11 +76,7 @@ def b_quantities(u_derivs):
 def a_quantities(z: PowerSeries, q2: RationalFunction, q0: RationalFunction):
     """A2 = Q2(z)z'^2 + 5{z,t} and the fourth-order companion A4,
     with ' = d/dt = delta_q acting on a series z(q) of valuation 1."""
-    z1 = z.euler()
-    z2 = z1.euler()
-    z3 = z2.euler()
-    z4 = z3.euler()
-    z5 = z4.euler()
+    _, z1, z2, z3, z4, z5 = euler_ladder(z, 5)
     a2 = q2.eval_series(z) * z1 * z1 + 5 * schwarzian(z)
     dq2 = q2.deriv()
     a4 = (q0.eval_series(z) * z1 ** 4
@@ -163,10 +164,7 @@ def verify_eq_fourth(order: int) -> PowerSeries:
     slack = order + 6
     z = mirror_data(5, slack).z_of_q
     K = yukawa_coupling(slack)
-    k1 = K.euler()
-    k2 = k1.euler()
-    k3 = k2.euler()
-    k4 = k3.euler()
+    _, k1, k2, k3, k4 = euler_ladder(K, 4)
     lhs = rational_q_tilde().eval_series(z) * (z.euler() / z) ** 4
     num = (175 * k1 ** 4 - 280 * K * k1 * k1 * k2
            + 49 * K * K * k2 * k2 + 70 * K * K * k1 * k3
@@ -253,23 +251,13 @@ def _random_z(rng: random.Random, order: int) -> PowerSeries:
 def _symbol_values(mode: str, fn: PowerSeries):
     """The ten series the symbols stand for, on one concrete input."""
     if mode == "p2":
-        u1 = fn.euler()
-        u_derivs = [u1]
-        for _ in range(3):
-            u_derivs.append(u_derivs[-1].euler())
-        base2, base4 = b_quantities(u_derivs)
+        base2, base4 = b_quantities(euler_ladder(fn.euler(), 3))
     elif mode == "p1":
         q2, q0 = quintic_normal_form()
         base2, base4 = a_quantities(fn, q2, q0)
     else:
         raise ValueError(f"unknown search mode {mode!r}")
-    values = [base2]
-    for _ in range(5):
-        values.append(values[-1].euler())
-    values.append(base4)
-    for _ in range(3):
-        values.append(values[-1].euler())
-    return values
+    return euler_ladder(base2, 5) + euler_ladder(base4, 3)
 
 
 def _stack_rows(monos, value_sets):
@@ -292,15 +280,10 @@ def _stack_rows(monos, value_sets):
 
 
 def _integerize(vec):
-    mult = 1
-    for x in vec:
-        d = int(x.denominator)
-        mult = mult // gcd(mult, d) * d
-    ints = [int(x.numerator) * (mult // int(x.denominator)) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return [rat(v // g) for v in ints] if g else [rat(v) for v in ints]
+    """The primitive integer vector on the line through ``vec``."""
+    ints = _to_int_rows([vec])[0]
+    g = gcd(*ints) or 1
+    return [rat(v // g) for v in ints]
 
 
 def relation_search(mode: str = "p2", weight_bound: int = 12,
@@ -314,7 +297,7 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
     Deterministic for a fixed seed; the candidate matrix is extended with
     extra random inputs until it has comfortably more rows than columns.
     """
-    start = time.time()
+    start = time.perf_counter()
     rng = random.Random(seed)
     symbols = P2_SYMBOLS if mode == "p2" else P1_SYMBOLS
     make_input = _random_u if mode == "p2" else _random_z
@@ -346,12 +329,12 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
             degree_set=tuple(poly.degree_set()),
             verified_fresh=fresh, verified_dual=dual,
             weights_scanned=tuple(scanned), seed=seed,
-            elapsed=time.time() - start)
+            elapsed=time.perf_counter() - start)
     return RelationSearchResult(
         mode=mode, found=False, weight=None, polynomial=None,
         stratum_size=None, degree_set=None, verified_fresh=False,
         verified_dual=False, weights_scanned=tuple(scanned), seed=seed,
-        elapsed=time.time() - start)
+        elapsed=time.perf_counter() - start)
 
 
 def _verify_dual(mode: str, poly: DiffPolynomial, order: int) -> bool:
@@ -366,11 +349,6 @@ def _verify_dual(mode: str, poly: DiffPolynomial, order: int) -> bool:
     else:
         K = yukawa_coupling(slack)
         base2, base4 = b_quantities(log_yukawa_derivs(K, 4))
-    values = [base2]
-    for _ in range(5):
-        values.append(values[-1].euler())
-    values.append(base4)
-    for _ in range(3):
-        values.append(values[-1].euler())
+    values = euler_ladder(base2, 5) + euler_ladder(base4, 3)
     res = poly.evaluate([v.truncate(order) for v in values])
     return res.is_zero()

@@ -3,9 +3,10 @@
 The basic carrier is :class:`PowerSeries`: a finite window of a Laurent
 series sum c_n x^n with n running from ``val`` up to (but not including)
 ``order``; exponents >= ``order`` are unknown and must never be read.
-:class:`LogSeries` layers a polynomial-in-log(x) structure on top of it,
-and :class:`HJet` is the truncated jet ring Q[H]/(H^r) used by the
-Frobenius construction.
+:class:`LogSeries` layers a polynomial-in-log(x) structure on top of it.
+The same two classes carry the jet ring Q[H]/(H^r) (a PowerSeries in H
+of order r) and polynomials in t = log q with q-series coefficients (a
+LogSeries in q whose part k holds k! [t^k]).
 
 All coefficients are arbitrary-precision rationals (gmpy2.mpq when
 available, fractions.Fraction otherwise), always kept in lowest terms
@@ -14,6 +15,8 @@ with positive denominator, so integrality checks reduce to
 """
 
 from __future__ import annotations
+
+from math import comb
 
 try:
     from gmpy2 import mpq as Q
@@ -447,7 +450,6 @@ class LogSeries:
             return NotImplemented
         d = self.log_degree + other.log_degree
         acc = [PowerSeries.zero(self.var, BIG_ORDER) for _ in range(d + 1)]
-        from math import comb
         for a, pa in enumerate(self.parts):
             if pa.is_zero() and pa.order >= BIG_ORDER:
                 continue
@@ -481,95 +483,6 @@ class LogSeries:
         parts = [self.part(j).deriv() + self.part(j + 1).shift(-1)
                  for j in range(len(self.parts))]
         return LogSeries(parts)
-
-
-class HJet:
-    """Truncated polynomial ring Q[H]/(H^r)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs, r=None):
-        cs = [rat(c) for c in coeffs]
-        if r is not None:
-            cs = (cs + [ZERO] * r)[:r]
-        if not cs:
-            raise ValueError("empty jet")
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def constant(cls, c, r):
-        return cls([c], r)
-
-    @classmethod
-    def linear(cls, a, b, r):
-        """The jet a + b*H."""
-        return cls([a, b], r)
-
-    @property
-    def r(self):
-        return len(self.coeffs)
-
-    def __getitem__(self, k):
-        return self.coeffs[k]
-
-    def __eq__(self, other):
-        return isinstance(other, HJet) and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"HJet{list(map(str, self.coeffs))}"
-
-    def __add__(self, other):
-        if not isinstance(other, HJet):
-            other = HJet.constant(other, self.r)
-        return HJet([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        if not isinstance(other, HJet):
-            other = HJet.constant(other, self.r)
-        return HJet([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other):
-        if not isinstance(other, HJet):
-            return HJet([rat(other) * a for a in self.coeffs])
-        r = self.r
-        cs = [ZERO] * r
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= r:
-                    break
-                cs[i + j] += a * b
-        return HJet(cs)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ZeroDivisionError("jet with zero constant term")
-        r = self.r
-        w = [ZERO] * r
-        w[0] = 1 / c0
-        for n in range(1, r):
-            acc = ZERO
-            for k in range(1, n + 1):
-                acc += self.coeffs[k] * w[n - k]
-            w[n] = -acc / c0
-        return HJet(w)
-
-    def __truediv__(self, other):
-        if not isinstance(other, HJet):
-            return self * (1 / rat(other))
-        return self * other.inverse()
-
-    def __pow__(self, n):
-        result = HJet.constant(1, self.r)
-        for _ in range(n):
-            result = result * self
-        return result
 
 
 # -- serialization ---------------------------------------------------------

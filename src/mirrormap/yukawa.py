@@ -1,4 +1,8 @@
-"""Yukawa coupling, instanton numbers, prepotential and t-functions (s=5)."""
+"""Yukawa coupling, instanton numbers, prepotential and t-functions (s=5).
+
+Polynomials in t with q-series coefficients are LogSeries in q under
+t = log q: part k holds k! [t^k], and d/dt is LogSeries.euler.
+"""
 
 from __future__ import annotations
 
@@ -6,112 +10,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .mirror import mirror_data
-from .series import BIG_ORDER, LogSeries, PowerSeries, Q, ZERO, rat
-
-
-class TPolyQSeries:
-    """Polynomial in t with q-series coefficients, under t = log q.
-
-    d/dt therefore acts as delta_q on each coefficient plus the ordinary
-    polynomial derivative in t.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        terms = list(terms)
-        if not terms:
-            terms = [PowerSeries.zero("q")]
-        while len(terms) > 1 and terms[-1].is_zero() \
-                and terms[-1].order >= BIG_ORDER:
-            terms.pop()
-        self.terms = tuple(terms)
-
-    @classmethod
-    def from_q(cls, p: PowerSeries):
-        return cls([p])
-
-    @classmethod
-    def t_power(cls, k: int, coefficient=1):
-        terms = [PowerSeries.zero("q") for _ in range(k)]
-        terms.append(PowerSeries.monomial("q", 0, coefficient))
-        return cls(terms)
-
-    @property
-    def t_degree(self):
-        return len(self.terms) - 1
-
-    @property
-    def order(self):
-        return min(p.order for p in self.terms)
-
-    def term(self, k):
-        if k < len(self.terms):
-            return self.terms[k]
-        return PowerSeries.zero("q")
-
-    def is_zero(self):
-        return all(p.is_zero() for p in self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, PowerSeries):
-            other = TPolyQSeries.from_q(other)
-        if not isinstance(other, TPolyQSeries):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "TPolyQSeries[" + ", ".join(repr(p) for p in self.terms) + "]"
-
-    def __add__(self, other):
-        if isinstance(other, (int, Q, PowerSeries)):
-            other = TPolyQSeries.from_q(
-                other if isinstance(other, PowerSeries)
-                else PowerSeries.monomial("q", 0, other))
-        d = max(len(self.terms), len(other.terms))
-        return TPolyQSeries([self.term(k) + other.term(k) for k in range(d)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TPolyQSeries([-p for p in self.terms])
-
-    def __sub__(self, other):
-        if isinstance(other, (PowerSeries, int, Q)):
-            return self + (-TPolyQSeries.from_q(
-                other if isinstance(other, PowerSeries)
-                else PowerSeries.monomial("q", 0, other)))
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Q, PowerSeries)):
-            return TPolyQSeries([p * other for p in self.terms])
-        if not isinstance(other, TPolyQSeries):
-            return NotImplemented
-        d = self.t_degree + other.t_degree
-        acc = [PowerSeries.zero("q") for _ in range(d + 1)]
-        for a, pa in enumerate(self.terms):
-            for b, pb in enumerate(other.terms):
-                acc[a + b] = acc[a + b] + pa * pb
-        return TPolyQSeries(acc)
-
-    __rmul__ = __mul__
-
-    def dt(self):
-        """d/dt = delta_q on coefficients + polynomial derivative in t."""
-        d = len(self.terms)
-        return TPolyQSeries(
-            [self.term(k).euler() + (k + 1) * self.term(k + 1)
-             for k in range(d)])
-
-    def truncate(self, order):
-        return TPolyQSeries([p.truncate(order) for p in self.terms])
+from .mirror import integrality_report, mirror_data
+from .series import LogSeries, PowerSeries, Q, TruncationError, ZERO, rat
 
 
 @dataclass(frozen=True)
@@ -123,11 +23,15 @@ class InstantonTable:
 
 def yukawa_from_definition(order: int) -> PowerSeries:
     """K(q) = 5 (delta_q z/z)^3 / ((1 - 5^5 z(q)) f0~^2); K(0) = 5."""
-    md = mirror_data(5, order + 2)
+    md = mirror_data(5, order)
     z = md.z_of_q
     dz_over_z = z.euler() / z
     f0t = md.f0_tilde
     k = 5 * dz_over_z ** 3 * ((1 - 5 ** 5 * z) * f0t * f0t).inverse()
+    if k.order < order:
+        raise TruncationError(
+            f"Yukawa coupling only known to order {k.order}, "
+            f"requested {order}")
     return k.truncate(order)
 
 
@@ -143,6 +47,23 @@ def verify_yukawa_identity(order: int) -> PowerSeries:
     z = md.z_of_q
     rhs = (z.euler() / z) ** 3 * (1 - 5 ** 5 * z).inverse() * 5 * K.inverse()
     return (md.f0_tilde * md.f0_tilde - rhs).truncate(order)
+
+
+def integrality_suite(order: int):
+    """Integrality of z(q), q(z)/z and f0~ for s = 3, 4, 5 and of K/5,
+    each through the given exponent: one report item per series."""
+    slack = order + 2
+    items = []
+    for s in (3, 4, 5):
+        md = mirror_data(s, slack)
+        for name, f in (("z_of_q", md.z_of_q),
+                        ("q_of_z/z", md.q_of_z.shift(-1)),
+                        ("f0_tilde", md.f0_tilde)):
+            items.append({"item": f"s{s}.{name}",
+                          **integrality_report(f, order)})
+    k5 = yukawa_coupling(slack) * Q(1, 5)
+    items.append({"item": "K/5", **integrality_report(k5, order)})
+    return items
 
 
 def instanton_numbers(K: PowerSeries, count: int) -> InstantonTable:
@@ -184,20 +105,25 @@ def lambert_expand(n, order: int, constant=5) -> PowerSeries:
     return PowerSeries("q", 0, cs, order)
 
 
-def prepotential(order: int) -> TPolyQSeries:
+def _t_cubic(c3, qpart: PowerSeries) -> LogSeries:
+    """c3 t^3 + qpart as a LogSeries in q (part 3 holds 3! c3)."""
+    zero = PowerSeries.zero("q")
+    return LogSeries([qpart, zero, zero, PowerSeries.monomial("q", 0, 6 * c3)])
+
+
+def prepotential(order: int) -> LogSeries:
     """F(t) = (5/6) t^3 + sum N_l q^l, with d^3F/dt^3 = K(q)."""
     K = yukawa_coupling(order)
     table = instanton_numbers(K, order - 1)
-    qpart = PowerSeries("q", 1, table.N, order)
-    return TPolyQSeries.t_power(3, Q(5, 6)) + qpart
+    return _t_cubic(Q(5, 6), PowerSeries("q", 1, table.N, order))
 
 
 def t_functions(order: int):
     """t_0 = 1, t_1 = t, t_2 = (1/5) F', t_3 = (1/5) t F' - (2/5) F."""
     F = prepotential(order)
-    Fp = F.dt()
-    t = TPolyQSeries.t_power(1)
-    t0 = TPolyQSeries.from_q(PowerSeries.monomial("q", 0, 1, order))
+    Fp = F.euler()
+    t = LogSeries([PowerSeries.zero("q"), PowerSeries.one("q")])
+    t0 = LogSeries.from_power(PowerSeries.one("q", order))
     t1 = t + PowerSeries.zero("q", order)
     t2 = Q(1, 5) * Fp
     t3 = Q(1, 5) * (t * Fp) - Q(2, 5) * F
@@ -206,32 +132,26 @@ def t_functions(order: int):
 
 def verify_pandharipande(order: int):
     """Residuals of d^2/dt^2 (1/K) d^2/dt^2 t_j for j = 0..3."""
-    K = yukawa_coupling(order)
-    kinv = K.inverse()
-    out = []
-    for tj in t_functions(order):
-        inner = tj.dt().dt() * kinv
-        out.append(inner.dt().dt())
-    return out
+    kinv = yukawa_coupling(order).inverse()
+    return [(tj.euler(2) * kinv).euler(2) for tj in t_functions(order)]
 
 
-def pullback_logseries(ls: LogSeries, zq: PowerSeries, order: int) -> TPolyQSeries:
-    """Carry a log-series in z through z = z(q), log z = t - g1/g0(z(q)).
+def pullback_logseries(ls: LogSeries, zq: PowerSeries,
+                       order: int) -> LogSeries:
+    """Carry a log-series in z through z = z(q): the result is
+    sum_k p_k(z(q)) (t + log(z/q))^k / k!, a LogSeries in q under t = log q.
 
     Used to check that f_j/f_0 really equals the t-functions after the
     change of variable t = log q.
     """
     shift = (zq / PowerSeries.identity("q", order + 1)).log()
-    result = TPolyQSeries.from_q(PowerSeries.zero("q", order))
+    log_z = LogSeries([shift, PowerSeries.one("q")])
+    power = LogSeries.from_power(PowerSeries.one("q", order))
+    result = LogSeries.from_power(PowerSeries.zero("q", order))
     for k in range(ls.log_degree + 1):
-        pk = ls.part(k).compose(zq)
-        if pk.is_zero() and pk.order >= BIG_ORDER:
-            continue
-        # (t + shift)^k / k! as a polynomial in t
-        binom = TPolyQSeries.from_q(PowerSeries.monomial("q", 0, 1, order))
-        for i in range(k):
-            binom = binom * (TPolyQSeries.t_power(1) + shift)
-        result = result + Q(1, math.factorial(k)) * binom * pk
+        pk = ls.part(k).compose(zq) * Q(1, math.factorial(k))
+        result = result + pk * power
+        power = power * log_z
     return result
 
 
@@ -245,8 +165,7 @@ def eisenstein_analog(order: int):
             if m % k == 0:
                 s += Q(240) / rat(k) ** 3
         big_n[m] = s
-    F0 = TPolyQSeries.t_power(3, Q(1, 6)) + PowerSeries("q", 0, big_n, order)
-    return K0, F0
+    return K0, _t_cubic(Q(1, 6), PowerSeries("q", 0, big_n, order))
 
 
 def evaluate_F0_at(t_value: float, order: int = 12) -> float:
@@ -261,9 +180,9 @@ def evaluate_F0_at(t_value: float, order: int = 12) -> float:
         raise ValueError("q = e^t must lie inside the unit disc")
     _, F0 = eisenstein_analog(order)
     total = 0.0
-    for k, term in enumerate(F0.terms):
+    for k, part in enumerate(F0.parts):
         acc = 0.0
-        for n, c in term.known_coeffs():
+        for n, c in (part / math.factorial(k)).known_coeffs():
             acc += float(c.numerator) / float(c.denominator) * qv ** n
         total += acc * t_value ** k
     return total

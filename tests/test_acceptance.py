@@ -18,8 +18,9 @@ from mirrormap.relations import (relation_search, verify_eq_fourth,
 from mirrormap.series import Q, rat
 from mirrormap.wronskian import r_operator, r_substitute
 from mirrormap.yukawa import (evaluate_F0_at, instanton_numbers,
-                              lambert_expand, verify_pandharipande,
-                              verify_yukawa_identity, yukawa_coupling)
+                              integrality_suite, lambert_expand,
+                              verify_pandharipande, verify_yukawa_identity,
+                              yukawa_coupling)
 
 
 def _timed(budget_seconds):
@@ -126,13 +127,11 @@ def test_06_operator_suite():
 
 def test_07_integrality_suite():
     with _timed(10.0):
-        from mirrormap.mirror import integrality_report
-        for s in (3, 4, 5):
-            md = mirror_data(s, 102)
-            for f in (md.z_of_q, md.q_of_z.shift(-1), md.f0_tilde):
-                assert integrality_report(f, 100)["pass"]
-        k5 = yukawa_coupling(102) * Q(1, 5)
-        assert integrality_report(k5, 100)["pass"]
+        items = integrality_suite(100)
+        assert [i["item"] for i in items] == [
+            f"s{s}.{name}" for s in (3, 4, 5)
+            for name in ("z_of_q", "q_of_z/z", "f0_tilde")] + ["K/5"]
+        assert all(i["pass"] for i in items)
 
 
 def test_08_numeric_value():

@@ -65,6 +65,19 @@ class TestYukawaCommands:
         data = json.loads(res.output)
         assert len(data["value"].replace("-", "").replace(".", "")) >= 16
 
+    def test_prepotential_json(self, runner):
+        res = runner.invoke(main, ["prepotential", "--order", "8",
+                                   "--format", "json"])
+        assert res.exit_code == 0
+        t_powers = json.loads(res.output)["t_powers"]
+        assert len(t_powers) == 4
+        q_part = t_powers[0]
+        assert q_part["valuation"] == 1 and q_part["order"] == 8
+        assert q_part["coeffs"][:2] == ["2875", "4876875/8"]
+        for k in (1, 2):
+            assert t_powers[k]["coeffs"] == [] and t_powers[k]["order"] is None
+        assert t_powers[3]["coeffs"] == ["5/6"]
+
     def test_eval_f0_rejects_positive_t(self, runner):
         res = runner.invoke(main, ["eval-f0", "--t", "1.0"])
         assert res.exit_code == 2

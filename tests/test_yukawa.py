@@ -6,12 +6,13 @@ import pytest
 
 from mirrormap.mirror import mirror_data
 from mirrormap.operators import frobenius_basis
-from mirrormap.series import PowerSeries, Q, rat
-from mirrormap.yukawa import (TPolyQSeries, eisenstein_analog, evaluate_F0_at,
+from mirrormap import yukawa
+from mirrormap.series import PowerSeries, Q, TruncationError, rat
+from mirrormap.yukawa import (eisenstein_analog, evaluate_F0_at,
                               instanton_numbers, lambert_expand, prepotential,
                               pullback_logseries, t_functions,
                               verify_pandharipande, verify_yukawa_identity,
-                              yukawa_coupling)
+                              yukawa_coupling, yukawa_from_definition)
 
 FIRST_INSTANTONS = [2875, 609250, 317206375, 242467530000,
                     229305888887625]
@@ -31,6 +32,20 @@ class TestCoupling:
     def test_k_over_5_is_integral(self):
         K = yukawa_coupling(40)
         assert all((K.coeff(m) / 5).denominator == 1 for m in range(40))
+
+    def test_one_pipeline_per_coupling(self):
+        # K to order n needs only the order-n mirror bundle
+        mirror_data.cache_clear()
+        K = yukawa_from_definition(12)
+        assert mirror_data.cache_info().misses == 1
+        assert K.order == 12
+
+    def test_short_bundle_raises(self, monkeypatch):
+        # a bundle known to fewer terms must not yield a silently short K
+        monkeypatch.setattr(yukawa, "mirror_data",
+                            lambda s, order: mirror_data(s, order - 2))
+        with pytest.raises(TruncationError):
+            yukawa_from_definition(12)
 
 
 class TestInstantons:
@@ -66,13 +81,13 @@ class TestPrepotential:
     def test_third_derivative_is_K(self):
         F = prepotential(16)
         K = yukawa_coupling(16)
-        third = F.dt().dt().dt()
-        assert third == K
+        assert F.euler(3) == K
 
     def test_t_cubed_coefficient(self):
         F = prepotential(8)
-        assert F.term(3).coeff(0) == Q(5, 6)
-        assert F.term(2).is_zero() and F.term(1).is_zero()
+        # part k holds k! [t^k]: 3! * 5/6 = 5
+        assert F.part(3).coeff(0) == 5
+        assert F.part(2).is_zero() and F.part(1).is_zero()
 
 
 class TestTFunctions:
@@ -89,7 +104,7 @@ class TestTFunctions:
         ts = t_functions(order)
         for j in (2, 3):
             pulled = pullback_logseries(basis[j], md.z_of_q, order)
-            ratio = pulled * TPolyQSeries.from_q(f0q.inverse())
+            ratio = pulled * f0q.inverse()
             assert (ratio - ts[j]).truncate(order).is_zero()
 
     def test_prepotential_from_solution_ratios(self):
@@ -113,7 +128,7 @@ class TestEisensteinAnalog:
 
     def test_F0_third_derivative(self):
         K0, F0 = eisenstein_analog(12)
-        assert F0.dt().dt().dt() == K0
+        assert F0.euler(3) == K0
 
     def test_evaluate_matches_mpmath(self):
         import mpmath
