@@ -56,20 +56,15 @@ def row_echelon(rows):
     return m[:r], piv_cols
 
 
-def rank(rows) -> int:
-    return len(row_echelon(rows)[1])
-
-
 def nullspace(rows, ncols=None):
     """Basis of the exact rational nullspace of the row matrix.
 
     Each basis vector has one free coordinate set to 1 (back substitution
-    through the fraction-free echelon form).
+    through the fraction-free echelon form). With no rows every vector of
+    the ``ncols``-dimensional space is in the nullspace.
     """
-    if not rows:
-        return []
     if ncols is None:
-        ncols = len(rows[0])
+        ncols = len(rows[0]) if rows else 0
     ech, piv_cols = row_echelon(rows)
     piv_set = set(piv_cols)
     free_cols = [c for c in range(ncols) if c not in piv_set]

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .operators import g_functions
-from .series import PowerSeries, TruncationError
+from .series import PowerSeries
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,7 @@ def integrality_report(f: PowerSeries, through: int):
     """'pass' if every coefficient up to the exponent bound is an integer,
     else the first failing exponent. Sound because coefficients are kept
     normalized (lowest terms, positive denominator)."""
-    if through >= f.order:
-        raise TruncationError(
-            f"series only known to order {f.order}, requested {through}")
+    f = f.known_to(through + 1)
     for n in range(min(f.val, 0), through + 1):
         if f.coeff(n).denominator != 1:
             return {"pass": False, "first_failure": n}
@@ -67,4 +65,4 @@ def verify_hodge_identity(s: int, order: int) -> PowerSeries:
     dz_over_z = z.euler() / z
     rhs = dz_over_z ** (s - 2) * (1 - s ** s * z).inverse()
     resid = md.f0_tilde * md.f0_tilde - rhs
-    return resid.truncate(order)
+    return resid.known_to(order)

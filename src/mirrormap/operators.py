@@ -23,12 +23,6 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def const(cls, c):
-        return cls([c])
-
-    zero_ = None  # set below
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -135,15 +129,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * s + c
         return acc
-
-    def eval_at(self, x):
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def to_record(self):
-        return {"coeffs": [str(c) for c in self.coeffs]}
 
 
 class RationalFunction:
@@ -300,10 +285,6 @@ class DeltaOperator:
                 if s:
                     b[j] = b[j] + (c * s).shift(j)
         return b
-
-    def to_record(self):
-        return {"order": self.degree,
-                "coeffs": [c.to_record() for c in self.coeffs]}
 
 
 def stirling2(n, k):

@@ -113,8 +113,8 @@ def ab_quantities(order: int) -> ABQuantities:
     a2, a4 = a_quantities(z, q2, q0)
     b2, b4 = b_quantities(log_yukawa_derivs(K, 4))
     return ABQuantities(order=order,
-                        A2=a2.truncate(order), A4=a4.truncate(order),
-                        B2=b2.truncate(order), B4=b4.truncate(order))
+                        A2=a2.known_to(order), A4=a4.known_to(order),
+                        B2=b2.known_to(order), B4=b4.known_to(order))
 
 
 def verify_duality(order: int):
@@ -142,7 +142,7 @@ def verify_eq_schwarzian(s: int, order: int) -> PowerSeries:
     z = mirror_data(s, order + 6).z_of_q
     z1 = z.euler()
     res = 2 * q_rf.eval_series(z) * z1 * z1 + schwarzian(z)
-    return res.truncate(order)
+    return res.known_to(order)
 
 
 def verify_eq_second(order: int) -> PowerSeries:
@@ -155,7 +155,7 @@ def verify_eq_second(order: int) -> PowerSeries:
     z1 = z.euler()
     lhs = 2 * rational_q().eval_series(z) * z1 * z1 + schwarzian(z)
     rhs = Q(2, 5) * u2 - Q(1, 10) * u1 * u1
-    return (lhs - rhs).truncate(order)
+    return (lhs - rhs).known_to(order)
 
 
 def verify_eq_fourth(order: int) -> PowerSeries:
@@ -170,7 +170,7 @@ def verify_eq_fourth(order: int) -> PowerSeries:
            + 49 * K * K * k2 * k2 + 70 * K * K * k1 * k3
            - 10 * K ** 3 * k4)
     rhs = num / K ** 4
-    return (lhs - rhs).truncate(order)
+    return (lhs - rhs).known_to(order)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ terms with positive denominator, so integrality checks reduce to
 ``gmpy2.mpq`` when the optional gmpy2 package is installed; both run the
 same code. Products convolve integer numerators over one common
 denominator per operand and build each result coefficient once, so the
-rational type normalises only once per output coefficient.
+rational type normalises only once per output coefficient. Inverse,
+exponential and reversion are built on that product (Newton iteration and
+Lagrange inversion) and keep no coefficient recurrences of their own.
 """
 
 from __future__ import annotations
@@ -51,10 +53,6 @@ def rat(x) -> Q:
     return Q(x)
 
 
-def rat_str(x) -> str:
-    return str(rat(x))
-
-
 def _integer_window(coeffs):
     """Integer numerators of ``coeffs`` over their least common denominator."""
     d = lcm(*(c.denominator for c in coeffs))
@@ -65,6 +63,8 @@ class PowerSeries:
     __slots__ = ("var", "val", "coeffs", "order")
 
     def __init__(self, var, val, coeffs, order):
+        if order > BIG_ORDER >> 1:  # exact stays exact under shifts
+            order = BIG_ORDER
         cs = [rat(c) for c in coeffs]
         if val + len(cs) > order:
             cs = cs[: order - val]
@@ -99,13 +99,6 @@ class PowerSeries:
     @classmethod
     def monomial(cls, var, exponent, coefficient=1, order=BIG_ORDER):
         return cls(var, exponent, (rat(coefficient),), order)
-
-    @classmethod
-    def from_coeffs(cls, var, coeffs, order=None, val=0):
-        """Series from a dense coefficient list starting at exponent ``val``."""
-        if order is None:
-            order = val + len(coeffs)
-        return cls(var, val, coeffs, order)
 
     # -- inspection --------------------------------------------------------
 
@@ -218,20 +211,21 @@ class PowerSeries:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse; the lowest known coefficient must be nonzero."""
+        """Multiplicative inverse; the lowest known coefficient must be nonzero.
+
+        Newton iteration w <- w + w (1 - u w) on u = self / x^val, doubling
+        the precision up to order - val.
+        """
         if not self.coeffs:
             raise ZeroDivisionError("inverse of a zero-to-order series")
+        self._require_finite("inverse")
         L = self.order - self.val
-        u = list(self.coeffs) + [ZERO] * (L - len(self.coeffs))
-        w = [ZERO] * L
-        w[0] = 1 / u[0]
-        for n in range(1, L):
-            acc = ZERO
-            for k in range(1, n + 1):
-                if u[k] != 0 and w[n - k] != 0:
-                    acc += u[k] * w[n - k]
-            w[n] = -acc / u[0]
-        return PowerSeries(self.var, -self.val, w, L - self.val)
+        u = self.shift(-self.val)
+        w = PowerSeries(self.var, 0, (1 / u.coeffs[0],), 1)
+        while w.order < L:
+            w = PowerSeries(self.var, 0, w.coeffs, min(2 * w.order, L))
+            w = w + w * (1 - u.truncate(w.order) * w)
+        return w.shift(-self.val)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Q)):
@@ -260,6 +254,19 @@ class PowerSeries:
         if order >= self.order:
             return self
         return PowerSeries(self.var, self.val, self.coeffs, order)
+
+    def known_to(self, order):
+        """Truncate to exactly ``order``; raises TruncationError if the
+        series is known to fewer terms."""
+        if self.order < order:
+            raise TruncationError(
+                f"series in {self.var} only known to order {self.order}, "
+                f"requested {order}")
+        return self.truncate(order)
+
+    def _require_finite(self, op):
+        if self.order >= BIG_ORDER:
+            raise ValueError(f"{op} needs a series with a finite order")
 
     def shift(self, m):
         """Multiply by x^m (exact)."""
@@ -317,49 +324,48 @@ class PowerSeries:
         return total.truncate(N)
 
     def revert(self, new_var="q"):
-        """Compositional inverse of a series with valuation exactly 1."""
+        """Compositional inverse of a series with valuation exactly 1.
+
+        Lagrange inversion: with h = x / self, [q^n] g = [x^(n-1)] h^n / n.
+        """
         if self.val != 1:
             raise ValueError("reversion requires valuation exactly 1")
+        self._require_finite("revert")
         N = self.order
-        a1 = self.coeffs[0]
-        ident = PowerSeries.identity(new_var, N)
-        g = PowerSeries(new_var, 1, (1 / a1,), 2)
-        fp = self.deriv()
-        for _ in range(80):
-            prec = min(2 * (g.order), N)
-            g = PowerSeries(new_var, g.val, g.coeffs, prec)
-            resid = self.compose(g) - ident.truncate(prec)
-            if prec >= N and resid.is_zero():
-                return g
-            g = g - resid / fp.compose(g)
-        raise RuntimeError("series reversion did not converge")
+        h = self.shift(-1).inverse()
+        p = PowerSeries.one(self.var)
+        lead = []
+        for n in range(1, N):
+            p = p * h
+            lead.append(p.coeff(n - 1))
+        return PowerSeries(new_var, 1, lead, N)._euler_integral()
 
     def exp(self):
-        """Series exponential; requires valuation >= 1."""
+        """Series exponential; requires valuation >= 1.
+
+        Newton iteration e <- e + e (self - log e), doubling the precision
+        up to the order.
+        """
         if not self.is_zero() and self.val < 1:
             raise ValueError("exp requires zero constant term")
+        self._require_finite("exp")
         N = self.order
-        e = [ONE] + [ZERO] * (N - 1)
-        for n in range(1, N):
-            acc = ZERO
-            for k in range(1, n + 1):
-                fk = self.coeff(k) if k < N else ZERO
-                if fk != 0 and e[n - k] != 0:
-                    acc += rat(k) * fk * e[n - k]
-            e[n] = acc / n
-        return PowerSeries(self.var, 0, e, N)
+        e = PowerSeries.one(self.var, min(N, 1))
+        while e.order < N:
+            e = PowerSeries(self.var, 0, e.coeffs, min(2 * e.order, N))
+            e = e + e * (self.truncate(e.order) - e.log())
+        return e
 
     def log(self):
         """Series logarithm; requires constant term 1."""
         if self.val != 0 or self.coeffs[0] != 1:
             raise ValueError("log requires constant term 1")
-        g = self.euler() / self
-        N = g.order
-        cs = [ZERO] * N
-        for n, c in g.known_coeffs():
-            if 0 < n < N:
-                cs[n] = c / n
-        return PowerSeries(self.var, 0, cs, N)
+        return (self.euler() / self)._euler_integral()
+
+    def _euler_integral(self):
+        """The series F with F.euler() == self; self has no constant term."""
+        cs = [c / (self.val + i) for i, c in enumerate(self.coeffs)]
+        return PowerSeries(self.var, self.val, cs, self.order)
 
 
 class LogSeries:

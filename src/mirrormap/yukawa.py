@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .mirror import integrality_report, mirror_data
-from .series import LogSeries, PowerSeries, Q, TruncationError, ZERO, rat
+from .series import LogSeries, PowerSeries, Q, ZERO, rat
 
 
 @dataclass(frozen=True)
@@ -28,11 +28,7 @@ def yukawa_from_definition(order: int) -> PowerSeries:
     dz_over_z = z.euler() / z
     f0t = md.f0_tilde
     k = 5 * dz_over_z ** 3 * ((1 - 5 ** 5 * z) * f0t * f0t).inverse()
-    if k.order < order:
-        raise TruncationError(
-            f"Yukawa coupling only known to order {k.order}, "
-            f"requested {order}")
-    return k.truncate(order)
+    return k.known_to(order)
 
 
 @lru_cache(maxsize=8)
@@ -46,7 +42,7 @@ def verify_yukawa_identity(order: int) -> PowerSeries:
     K = yukawa_coupling(order + 2)
     z = md.z_of_q
     rhs = (z.euler() / z) ** 3 * (1 - 5 ** 5 * z).inverse() * 5 * K.inverse()
-    return (md.f0_tilde * md.f0_tilde - rhs).truncate(order)
+    return (md.f0_tilde * md.f0_tilde - rhs).known_to(order)
 
 
 def integrality_suite(order: int):

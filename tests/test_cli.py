@@ -146,6 +146,24 @@ class TestWronskianCommand:
         data = json.loads(res.output)
         assert data["coeffs"][0] == "1"  # W starts at f0 g' - f0' g = 1+...
 
+    @pytest.mark.parametrize("second, coeffs", [
+        (["2", "4"], []),                 # dependent: certified zero
+        (["0", "1", "1"], ["1", "2", "2"]),
+    ])
+    def test_exact_records(self, runner, tmp_path, second, coeffs):
+        path = tmp_path / "exact.json"
+        path.write_text(json.dumps([
+            {"variable": "z", "valuation": 0, "order": None,
+             "coeffs": ["1", "2"]},
+            {"variable": "z", "valuation": 0, "order": None,
+             "coeffs": second},
+        ]))
+        res = runner.invoke(main, ["wronskian", "--input", str(path),
+                                   "--format", "json"])
+        assert res.exit_code == 0
+        data = json.loads(res.output)
+        assert data["coeffs"] == coeffs and data["order"] is None
+
     def test_empty_input_is_usage_error(self, runner, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("[]")

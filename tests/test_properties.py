@@ -23,6 +23,7 @@ def test_reversion_round_trip():
                         [rat(1)] + [rat(rng.randint(-9, 9))
                                     for _ in range(7)], 9)
         g = f.revert("q")
+        assert g.order == f.order
         back = g.compose(f.relabel("q"))
         ident = PowerSeries("q", 1, [rat(1)], back.order)
         assert (back - ident).is_zero()

@@ -2,16 +2,17 @@
 
 import pytest
 
-from mirrormap.mirror import mirror_data
+from mirrormap import mirror, relations, yukawa
+from mirrormap.mirror import mirror_data, verify_hodge_identity
 from mirrormap.operators import second_order_normal_form, mirror_operator
 from mirrormap.relations import (ab_quantities, quintic_normal_form,
                                  rational_q, rational_q_tilde,
                                  relation_search, verify_duality,
                                  verify_eq_fourth, verify_eq_schwarzian,
                                  verify_eq_second)
-from mirrormap.series import Q, PowerSeries, rat
+from mirrormap.series import Q, PowerSeries, TruncationError, rat
 from mirrormap.wronskian import schwarzian
-from mirrormap.yukawa import yukawa_coupling
+from mirrormap.yukawa import verify_yukawa_identity, yukawa_coupling
 
 
 class TestRationalData:
@@ -61,6 +62,27 @@ class TestCoupledIdentities:
                      + PowerSeries("z", 1, [rat(1)], 12)).compose(z)
         bad = perturbed * (z.euler() / z) ** 4
         assert not (bad - lhs).truncate(10).is_zero()
+
+
+@pytest.mark.parametrize("check", [
+    lambda: verify_hodge_identity(3, 8),
+    lambda: verify_yukawa_identity(8),
+    lambda: ab_quantities(8),
+    lambda: verify_eq_schwarzian(4, 8),
+    lambda: verify_eq_second(8),
+    lambda: verify_eq_fourth(8),
+], ids=["hodge", "eq19", "ab", "eq9", "eq16", "eq25"])
+def test_verifier_refuses_short_bundle(monkeypatch, check):
+    # a bundle known to fewer terms must not yield a silently short residual
+    K = yukawa_coupling(20)
+    for module in (mirror, yukawa, relations):
+        monkeypatch.setattr(module, "mirror_data",
+                            lambda s, order: mirror_data(s, order - 8))
+    for module in (yukawa, relations):
+        monkeypatch.setattr(module, "yukawa_coupling",
+                            lambda order: K.truncate(order - 8))
+    with pytest.raises(TruncationError):
+        check()
 
 
 @pytest.fixture(scope="module")

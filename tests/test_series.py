@@ -188,6 +188,8 @@ def _frac(c):
 def _schoolbook_product(a, b):
     """Reference product on plain Fractions: (val, coeffs, order)."""
     order = min(a.order + b.val, b.order + a.val)
+    if order > BIG_ORDER >> 1:   # a product of exact series is exact
+        order = BIG_ORDER
     terms = {}
     for i, x in enumerate(a.coeffs):
         for j, y in enumerate(b.coeffs):
@@ -227,3 +229,122 @@ def test_mul_matches_fraction_schoolbook(a, b):
     for x in c.coeffs:
         assert isinstance(x, Q) and x.denominator > 0
         assert gcd(int(x.numerator), int(x.denominator)) == 1
+
+
+def _normalised(val, dense, order):
+    """(val, coeffs, order) of a dense Fraction window, as PowerSeries
+    stores it: leading and trailing zeros stripped."""
+    dense = list(dense[:max(order - val, 0)])
+    while dense and dense[-1] == 0:
+        dense.pop()
+    lo = 0
+    while lo < len(dense) and dense[lo] == 0:
+        lo += 1
+    if lo == len(dense):
+        return order, (), order
+    return val + lo, tuple(dense[lo:]), order
+
+
+def _inverse_reference(a):
+    """Term-by-term recurrence for 1/a on plain Fractions."""
+    L = a.order - a.val
+    u = [_frac(c) for c in a.coeffs] + [Fraction(0)] * (L - len(a.coeffs))
+    w = [1 / u[0]]
+    for n in range(1, L):
+        w.append(-sum(u[k] * w[n - k] for k in range(1, n + 1)) / u[0])
+    return _normalised(-a.val, w, L - a.val)
+
+
+def _exp_reference(f):
+    """e' = f' e solved term by term: n e_n = sum_k k f_k e_(n-k)."""
+    N = f.order
+    fk = [_frac(f.coeff(k)) for k in range(N)]
+    e = [Fraction(1)]
+    for n in range(1, N):
+        e.append(sum(k * fk[k] * e[n - k] for k in range(1, n + 1)) / n)
+    return _normalised(0, e, N)
+
+
+def _poly_mul(a, b, n):
+    """Product of dense Fraction lists (index = exponent), cut below n."""
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a[:n]):
+        for j, y in enumerate(b[:n - i]):
+            out[i + j] += x * y
+    return out
+
+
+def _revert_reference(f):
+    """Solve f(g) = q one coefficient at a time: with g known below q^n,
+    [q^n] f(g) = a_1 g_n + [q^n] sum_(k>=2) a_k g^k."""
+    N = f.order
+    a = [_frac(f.coeff(k)) for k in range(N)]
+    g = [Fraction(0), 1 / a[1]]
+    for n in range(2, N):
+        rest, power = Fraction(0), g
+        for k in range(2, n + 1):
+            power = _poly_mul(power, g, n + 1)
+            rest += a[k] * power[n]
+        g.append(-rest / a[1])
+    return _normalised(0, g, N)
+
+
+def _as_tuple(s):
+    return s.val, tuple(_frac(c) for c in s.coeffs), s.order
+
+
+@st.composite
+def _unit_series(draw, vals, max_len=9, max_extra=24):
+    """Nonzero lowest coefficient (rarely 1), with orders that cut the
+    stored window, just cover it, or run far past it."""
+    lead = draw(_rationals.filter(lambda c: c != 0))
+    rest = draw(st.lists(st.one_of(st.just(Fraction(0)), _rationals),
+                         max_size=max_len - 1))
+    coeffs = [lead] + rest
+    val = draw(vals)
+    order = val + draw(st.one_of(st.integers(1, len(coeffs)),
+                                 st.integers(len(coeffs),
+                                             len(coeffs) + max_extra)))
+    return PowerSeries("z", val, [rat(c) for c in coeffs], order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_unit_series(st.integers(-4, 4)))
+def test_inverse_matches_recurrence(a):
+    assert _as_tuple(a.inverse()) == _inverse_reference(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_unit_series(st.integers(1, 3)),
+                 st.integers(0, 20).map(lambda n: PowerSeries.zero("z", n))))
+def test_exp_matches_recurrence(f):
+    assert _as_tuple(f.exp()) == _exp_reference(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_unit_series(st.just(1), max_len=6, max_extra=12))
+def test_revert_matches_coefficient_solve(f):
+    assert _as_tuple(f.revert("z")) == _revert_reference(f)
+
+
+@pytest.mark.parametrize("method", ["inverse", "exp", "revert"])
+def test_order_less_input_is_rejected(method):
+    exact = PowerSeries("z", 1, [1, 1], BIG_ORDER)
+    with pytest.raises(ValueError):
+        getattr(exact, method)()
+
+
+def test_exactness_survives_shift_and_deriv():
+    exact = PowerSeries("z", 0, [1, 2, 3], BIG_ORDER)
+    for s in (exact.deriv(), exact.shift(-2), exact.shift(3),
+              exact * PowerSeries.monomial("z", -1)):
+        assert s.order == BIG_ORDER
+        assert series_to_record(s)["order"] is None
+
+
+def test_known_to_refuses_short_series():
+    f = ps([1, 2, 3], order=5)
+    assert f.known_to(3) == ps([1, 2, 3], order=3)
+    assert f.known_to(3).order == 3
+    with pytest.raises(TruncationError):
+        f.known_to(6)

@@ -2,9 +2,10 @@
 
 import pytest
 
+from mirrormap.linalg import nullspace
 from mirrormap.operators import frobenius_basis, second_order_normal_form, \
     mirror_operator
-from mirrormap.series import LogSeries, PowerSeries, Q, rat
+from mirrormap.series import BIG_ORDER, LogSeries, PowerSeries, Q, rat
 from mirrormap.wronskian import (DiffPolynomial, IndeterminateWronskian,
                                  coefficient_dependence, r_operator,
                                  r_substitute, schwarzian, schwarzian_dz,
@@ -59,6 +60,22 @@ class TestWronskian:
     def test_decide_false_skips_certificate(self):
         f = ps([1, 1, 7], order=9)
         assert wronskian([f, 3 * f], decide=False).is_zero()
+
+    def test_exact_dependent_inputs_are_certified(self):
+        # order-less inputs: the row window stops at the stored support
+        f = ps([1, 2], order=BIG_ORDER)
+        g = ps([2, 4], order=BIG_ORDER)
+        assert coefficient_dependence([f, g]) == [[Q(-2), Q(1)]]
+        assert wronskian([f, g]).is_zero()
+
+    @pytest.mark.parametrize("order", [6, BIG_ORDER])
+    def test_zero_series_is_dependent(self, order):
+        # the zero series has no coefficient rows at all
+        assert wronskian([PowerSeries.zero("z", order)]).is_zero()
+
+    def test_nullspace_of_no_rows_is_whole_space(self):
+        assert nullspace([], 2) == [[1, 0], [0, 1]]
+        assert nullspace([]) == []
 
     def test_coefficient_dependence_finds_relation(self):
         f = ps([2, 0, 1], order=8)
