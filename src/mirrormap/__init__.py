@@ -4,7 +4,7 @@ and the nonlinear differential identities that couple them."""
 from .series import (LogSeries, PowerSeries, Q, TruncationError,
                      VariableMismatch, rat, series_from_record,
                      series_to_record)
-from .operators import (DeltaOperator, Poly, RationalFunction,
+from .operators import (DeltaOperator, RationalFunction,
                         build_operator, eighth_operator,
                         fourth_order_normal_form, frobenius_basis,
                         g_functions, mirror_operator, pfq_series,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "LogSeries", "PowerSeries", "Q", "TruncationError",
     "VariableMismatch", "rat", "series_from_record", "series_to_record",
-    "DeltaOperator", "Poly", "RationalFunction", "build_operator",
+    "DeltaOperator", "RationalFunction", "build_operator",
     "eighth_operator", "fourth_order_normal_form", "frobenius_basis",
     "g_functions", "mirror_operator", "pfq_series",
     "second_order_normal_form", "symmetric_square_check",

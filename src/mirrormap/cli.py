@@ -130,6 +130,8 @@ def prepotential_cmd(order, fmt, out):
 def eval_f0(t_value, order, fmt, out):
     """Evaluate the cubic Eisenstein-style potential at a real t < 0."""
     _check_order(order)
+    if not math.isfinite(t_value):
+        raise click.UsageError("--t must be a finite number")
     try:
         value = evaluate_F0_at(t_value, order)
     except ValueError as exc:
@@ -144,12 +146,18 @@ def eval_f0(t_value, order, fmt, out):
 @_common
 def wronskian_cmd(path, fmt, out):
     """Wronskian determinant of the series in the input file."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    records = payload["series"] if isinstance(payload, dict) else payload
-    if not records:
-        raise click.UsageError("input contains no series")
-    fs = [series_from_record(rec) for rec in records]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        records = payload.get("series") if isinstance(payload, dict) \
+            else payload
+        if not isinstance(records, list) or not records:
+            raise ValueError("input contains no series")
+        fs = [series_from_record(rec) for rec in records]
+    except ValueError as exc:
+        raise click.UsageError(f"{path}: {exc}")
+    if len({f.var for f in fs}) > 1:
+        raise click.UsageError(f"{path}: series in different variables")
     try:
         w = wronskian(fs)
     except IndeterminateWronskian as exc:

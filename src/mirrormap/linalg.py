@@ -2,22 +2,11 @@
 
 from __future__ import annotations
 
-from math import gcd
-
-from .series import Q, ZERO, rat
+from .series import Q, ZERO, _integer_window, rat
 
 
 def _to_int_rows(rows):
-    out = []
-    for row in rows:
-        row = [rat(x) for x in row]
-        mult = 1
-        for x in row:
-            d = int(x.denominator)
-            mult = mult // gcd(mult, d) * d
-        out.append([int(x.numerator) * (mult // int(x.denominator))
-                    for x in row])
-    return out
+    return [_integer_window(row)[0] for row in rows]
 
 
 def row_echelon(rows):

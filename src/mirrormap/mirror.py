@@ -60,7 +60,7 @@ def verify_hodge_identity(s: int, order: int) -> PowerSeries:
     if s not in (3, 4):
         raise ValueError("the s=5 variant defines the Yukawa coupling; "
                          "use the yukawa module")
-    md = mirror_data(s, order + 2)
+    md = mirror_data(s, order)
     z = md.z_of_q
     dz_over_z = z.euler() / z
     rhs = dz_over_z ** (s - 2) * (1 - s ** s * z).inverse()

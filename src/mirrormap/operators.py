@@ -2,7 +2,9 @@
 
 Operators are stored as polynomials in the Euler derivation delta = z d/dz
 with polynomial-in-z coefficients, and converted to d/dz form on demand
-via z^k (d/dz)^k = delta(delta-1)...(delta-k+1).
+via z^k (d/dz)^k = delta(delta-1)...(delta-k+1). A polynomial in z is an
+exact PowerSeries (order BIG_ORDER), so all polynomial arithmetic runs on
+the series product.
 """
 
 from __future__ import annotations
@@ -12,146 +14,58 @@ from math import comb, factorial
 from .series import BIG_ORDER, LogSeries, PowerSeries, Q, ZERO, ONE, rat
 
 
-class Poly:
-    """Dense univariate polynomial over the rationals (variable z)."""
+def poly(coeffs) -> PowerSeries:
+    """The polynomial sum_k coeffs[k] z^k as an exact series."""
+    return PowerSeries("z", 0, coeffs, BIG_ORDER)
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs):
-        cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+def _as_poly(x) -> PowerSeries:
+    if isinstance(x, PowerSeries):
+        return x
+    return poly(x if isinstance(x, (list, tuple)) else [x])
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
 
-    def is_zero(self):
-        return not self.coeffs
+def _degree(p: PowerSeries) -> int:
+    """Degree of a nonzero exact polynomial."""
+    return p.val + len(p.coeffs) - 1
 
-    def val(self):
-        """Lowest exponent with nonzero coefficient (0 for the zero poly)."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return 0
 
-    def coeff(self, n):
-        if 0 <= n < len(self.coeffs):
-            return self.coeffs[n]
-        return ZERO
+def poly_divmod(a: PowerSeries, b: PowerSeries):
+    """Exact long division of polynomials: a = q*b + r, deg r < deg b."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    q, r = PowerSeries.zero(a.var), a
+    while not r.is_zero() and _degree(r) >= _degree(b):
+        t = PowerSeries.monomial(r.var, _degree(r) - _degree(b),
+                                 r.coeffs[-1] / b.coeffs[-1])
+        q, r = q + t, r - t * b
+    return q, r
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Q)):
-            other = Poly([other])
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
 
-    __hash__ = None
-
-    def __repr__(self):
-        return f"Poly{[str(c) for c in self.coeffs]}"
-
-    def __add__(self, other):
-        if isinstance(other, (int, Q)):
-            other = Poly([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(i) + other.coeff(i) for i in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Q)):
-            other = Poly([other])
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Q)):
-            return Poly([rat(other) * c for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Poly([])
-        cs = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                cs[i + j] += a * b
-        return Poly(cs)
-
-    __rmul__ = __mul__
-
-    def shift(self, m):
-        """Multiply by z^m, m >= 0."""
-        return Poly([ZERO] * m + list(self.coeffs))
-
-    def deriv(self):
-        return Poly([rat(i) * c for i, c in enumerate(self.coeffs)][1:])
-
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [ZERO] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.degree
-        lead = other.coeffs[-1]
-        for i in range(len(rem) - 1, d - 1, -1):
-            if rem[i] == 0:
-                continue
-            f = rem[i] / lead
-            q[i - d] = f
-            for j, b in enumerate(other.coeffs):
-                rem[i - d + j] -= f * b
-        return Poly(q), Poly(rem)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        return self * (1 / self.coeffs[-1])
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-
-    def eval_series(self, s: PowerSeries) -> PowerSeries:
-        """Horner evaluation at a power series (exact to s's implied order)."""
-        acc = PowerSeries.zero(s.var, BIG_ORDER)
-        for c in reversed(self.coeffs):
-            acc = acc * s + c
-        return acc
+def poly_gcd(a: PowerSeries, b: PowerSeries) -> PowerSeries:
+    """Monic greatest common divisor of two exact polynomials."""
+    while not b.is_zero():
+        a, b = b, poly_divmod(a, b)[1]
+    return a * (1 / a.coeffs[-1]) if a.coeffs else a
 
 
 class RationalFunction:
-    """Reduced quotient of two polynomials in z."""
+    """Reduced quotient of two polynomials in z (exact series), with a
+    monic denominator."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, reduce=True):
-        if not isinstance(num, Poly):
-            num = Poly([num]) if not isinstance(num, (list, tuple)) else Poly(num)
-        if den is None:
-            den = Poly([1])
-        elif not isinstance(den, Poly):
-            den = Poly([den]) if not isinstance(den, (list, tuple)) else Poly(den)
+    def __init__(self, num, den=1, reduce=True):
+        num, den = _as_poly(num), _as_poly(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if reduce and not num.is_zero():
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
+            g = poly_gcd(num, den)
+            if _degree(g) > 0:
+                num = poly_divmod(num, g)[0]
+                den = poly_divmod(den, g)[0]
         if num.is_zero():
-            den = Poly([1])
+            den = poly([1])
         lead = den.coeffs[-1]
         if lead != 1:
             num = num * (1 / lead)
@@ -163,9 +77,8 @@ class RationalFunction:
         return self.num.is_zero()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Q, Poly)):
-            other = RationalFunction(other if isinstance(other, Poly)
-                                     else Poly([other]))
+        if isinstance(other, (int, Q, PowerSeries)):
+            other = RationalFunction(other)
         return (isinstance(other, RationalFunction)
                 and (self.num * other.den) == (other.num * self.den))
 
@@ -210,23 +123,18 @@ class RationalFunction:
 
     def series(self, var="z", order=32) -> PowerSeries:
         """Laurent expansion about z = 0 valid through the given order."""
-        vd = self.den.val()
-        slack = order + 2 * vd + 1
-        num_s = PowerSeries(var, 0, self.num.coeffs, slack)
-        den_s = PowerSeries(var, 0, self.den.coeffs, slack)
+        slack = order + 2 * self.den.val + 1
+        num_s = self.num.relabel(var).truncate(slack)
+        den_s = self.den.relabel(var).truncate(slack)
         return (num_s / den_s).truncate(order)
 
     def eval_series(self, s: PowerSeries) -> PowerSeries:
         """Evaluate at a power series argument (Laurent division allowed)."""
-        return self.num.eval_series(s) / self.den.eval_series(s)
+        return self.num.compose(s) / self.den.compose(s)
 
 
 def _coerce_rf(x):
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, Poly):
-        return RationalFunction(x)
-    return RationalFunction(Poly([x]))
+    return x if isinstance(x, RationalFunction) else RationalFunction(x)
 
 
 class DeltaOperator:
@@ -235,7 +143,7 @@ class DeltaOperator:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [c if isinstance(c, Poly) else Poly(c) for c in coeffs]
+        cs = [_as_poly(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         if not cs:
@@ -260,12 +168,7 @@ class DeltaOperator:
                 dk = dk.euler()
             if c.is_zero():
                 continue
-            term = None
-            for m, cm in enumerate(c.coeffs):
-                if cm == 0:
-                    continue
-                piece = LogSeries([cm * p.shift(m) for p in dk.parts])
-                term = piece if term is None else term + piece
+            term = dk * c
             acc = term if acc is None else acc + term
         return acc
 
@@ -276,7 +179,7 @@ class DeltaOperator:
         sum_j b_j(z) (d/dz)^j, using delta^k = sum_j S(k,j) z^j (d/dz)^j.
         """
         m = self.degree
-        b = [Poly([]) for _ in range(m + 1)]
+        b = [poly([]) for _ in range(m + 1)]
         for k, c in enumerate(self.coeffs):
             if c.is_zero():
                 continue
@@ -299,26 +202,14 @@ def stirling2(n, k):
     return total // factorial(k)
 
 
-def _product_factors(s):
-    """Expand prod_{k=1}^{s-1} (s*delta + k) as a dense delta-polynomial."""
-    poly = [1]
-    for k in range(1, s):
-        nxt = [0] * (len(poly) + 1)
-        for i, a in enumerate(poly):
-            nxt[i] += a * k
-            nxt[i + 1] += a * s
-        poly = nxt
-    return poly
-
-
 def mirror_operator(s: int) -> DeltaOperator:
     """delta^{s-1} - s*z*(s delta + 1)...(s delta + s - 1)."""
     if s < 3:
         raise ValueError("mirror operators need s >= 3")
-    prod = _product_factors(s)
-    coeffs = [Poly([0, -s * a]) for a in prod]
-    while len(coeffs) < s:
-        coeffs.append(Poly([]))
+    prod = PowerSeries.one("delta")
+    for k in range(1, s):
+        prod = prod * PowerSeries("delta", 0, (k, s), BIG_ORDER)
+    coeffs = [poly([0, -s * prod.coeff(i)]) for i in range(s)]
     coeffs[s - 1] = coeffs[s - 1] + 1
     return DeltaOperator(coeffs)
 
@@ -326,9 +217,7 @@ def mirror_operator(s: int) -> DeltaOperator:
 def eighth_operator() -> DeltaOperator:
     """delta^2 - 4z(8 delta + 1)(8 delta + 3): the square root of the s=4 case."""
     # (8d+1)(8d+3) = 64 d^2 + 32 d + 3
-    return DeltaOperator([Poly([0, -12]),
-                          Poly([0, -128]),
-                          Poly([1, -256])])
+    return DeltaOperator([[0, -12], [0, -128], [1, -256]])
 
 
 def build_operator(kind: str, s: int | None = None) -> DeltaOperator:

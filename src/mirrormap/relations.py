@@ -11,8 +11,8 @@ from math import gcd
 
 from .linalg import _to_int_rows, nullspace
 from .mirror import mirror_data
-from .operators import (Poly, RationalFunction, eighth_operator,
-                        fourth_order_normal_form, mirror_operator,
+from .operators import (RationalFunction, eighth_operator,
+                        fourth_order_normal_form, mirror_operator, poly,
                         second_order_normal_form)
 from .series import PowerSeries, Q, rat
 from .wronskian import DiffPolynomial, schwarzian
@@ -24,8 +24,8 @@ C5 = 5 ** 5  # the natural scale of the quintic family's singular point
 def rational_q() -> RationalFunction:
     """The double-pole potential of the second-order normal form:
     (5^8/4)(25 - 34(5^5 z) + 24(5^5 z)^2) / ((5^5 z)^2 (1-5^5 z)^2)."""
-    num = Poly([rat(25), rat(-34 * C5), rat(24) * C5 ** 2]) * Q(5 ** 8, 4)
-    den = Poly([0, 0, rat(C5) ** 2]) * (Poly([1, -C5]) * Poly([1, -C5]))
+    num = poly([25, -34 * C5, 24 * C5 ** 2]) * Q(5 ** 8, 4)
+    den = poly([0, 0, C5 ** 2]) * poly([1, -C5]) ** 2
     return RationalFunction(num, den)
 
 
@@ -35,10 +35,8 @@ def rational_q_tilde() -> RationalFunction:
 
     The numerator is pinned empirically: it is exactly cubic when fitted
     from the Yukawa side (higher coefficients vanish through z^7)."""
-    num = Poly([0, rat(-5750), rat(-63671875), rat(-19531250000)])
-    one = Poly([1, -C5])
-    den = one * one * one * one
-    return RationalFunction(num, den)
+    num = poly([0, -5750, -63671875, -19531250000])
+    return RationalFunction(num, poly([1, -C5]) ** 4)
 
 
 @lru_cache(maxsize=1)
@@ -139,7 +137,7 @@ def verify_eq_schwarzian(s: int, order: int) -> PowerSeries:
     else:
         raise ValueError("the Schwarzian case needs s in {3, 4}")
     q_rf = second_order_normal_form(op)
-    z = mirror_data(s, order + 6).z_of_q
+    z = mirror_data(s, order).z_of_q
     z1 = z.euler()
     res = 2 * q_rf.eval_series(z) * z1 * z1 + schwarzian(z)
     return res.known_to(order)

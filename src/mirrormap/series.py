@@ -21,6 +21,7 @@ Lagrange inversion) and keep no coefficient recurrences of their own.
 
 from __future__ import annotations
 
+import re
 from math import comb, lcm
 
 try:
@@ -132,7 +133,10 @@ class PowerSeries:
         if self.var != other.var:
             return False
         n0 = min(self.val, other.val)
-        n1 = min(self.order, other.order)
+        # past both stored supports every known coefficient is zero on
+        # both sides; this bound also keeps exact (order-less) series finite
+        ends = [s.val + len(s.coeffs) for s in (self, other) if s.coeffs]
+        n1 = min(self.order, other.order, max(ends, default=n0))
         return all(self.coeff(n) == other.coeff(n) for n in range(n0, n1))
 
     __hash__ = None
@@ -298,12 +302,17 @@ class PowerSeries:
             v = inner.order
         if v < 1:
             raise ValueError("composition requires inner valuation >= 1")
-        bounds = [self.order * v, inner.order]
-        if self.val < 0:
-            bounds.append(inner.order + (self.val - 1) * v)
+        # unknown terms start at x^order; a term c_k x^k with k != 0 is
+        # known to inner.order + (k - 1) v, so the lowest such k bounds N
+        bounds = [self.order * v]
+        k = next((n for n, _ in self.known_coeffs() if n), None)
+        if k is not None:
+            bounds.append(inner.order + (k - 1) * v)
         N = min(bounds)
         var = inner.var
         total = PowerSeries.zero(var, N)
+        if not self.coeffs:
+            return total
         inner_t = inner.truncate(N)
         if self.val + len(self.coeffs) > 0:
             p = PowerSeries.one(var, N)
@@ -513,10 +522,39 @@ def series_to_record(f: PowerSeries) -> dict:
     }
 
 
-def series_from_record(rec: dict) -> PowerSeries:
-    order = rec.get("order")
-    val = rec["valuation"]
-    coeffs = [rat(c) for c in rec["coeffs"]]
+def _wire_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+_WIRE_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _wire_coeff(c) -> Q:
+    """A JSON integer, or a string of the form 'p' or 'p/q' with q != 0."""
+    if _wire_int(c):
+        return Q(c)
+    if isinstance(c, str) and _WIRE_RATIONAL.fullmatch(c):
+        num, _, den = c.partition("/")
+        if den and int(den) == 0:
+            raise ValueError(f"coefficient {c!r} has a zero denominator")
+        return Q(int(num), int(den or 1))
+    raise ValueError(f"coefficient {c!r} is not an integer or a 'p/q' string")
+
+
+def series_from_record(rec) -> PowerSeries:
+    """Parse the wire format; raises ValueError on a malformed record."""
+    if not isinstance(rec, dict):
+        raise ValueError("a series record must be an object")
+    var, val = rec.get("variable"), rec.get("valuation")
+    order, coeffs = rec.get("order"), rec.get("coeffs")
+    if not isinstance(var, str):
+        raise ValueError("'variable' must be a string")
+    if not _wire_int(val):
+        raise ValueError("'valuation' must be an integer")
     if order is None:
         order = BIG_ORDER
-    return PowerSeries(rec["variable"], val, coeffs, order)
+    elif not _wire_int(order) or order < val:
+        raise ValueError("'order' must be null or an integer >= 'valuation'")
+    if not isinstance(coeffs, list):
+        raise ValueError("'coeffs' must be a list")
+    return PowerSeries(var, val, [_wire_coeff(c) for c in coeffs], order)

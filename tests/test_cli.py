@@ -79,8 +79,9 @@ class TestYukawaCommands:
         assert t_powers[3]["coeffs"] == ["5/6"]
 
     def test_eval_f0_rejects_positive_t(self, runner):
-        res = runner.invoke(main, ["eval-f0", "--t", "1.0"])
-        assert res.exit_code == 2
+        for t in ("1.0", "-inf"):
+            res = runner.invoke(main, ["eval-f0", f"--t={t}"])
+            assert res.exit_code == 2, t
 
 
 class TestVerify:
@@ -149,6 +150,7 @@ class TestWronskianCommand:
     @pytest.mark.parametrize("second, coeffs", [
         (["2", "4"], []),                 # dependent: certified zero
         (["0", "1", "1"], ["1", "2", "2"]),
+        ([2, 4], []),                     # JSON integers are exact too
     ])
     def test_exact_records(self, runner, tmp_path, second, coeffs):
         path = tmp_path / "exact.json"
@@ -163,6 +165,41 @@ class TestWronskianCommand:
         assert res.exit_code == 0
         data = json.loads(res.output)
         assert data["coeffs"] == coeffs and data["order"] is None
+
+    @pytest.mark.parametrize("record", [
+        pytest.param({"variable": "z", "order": 4, "coeffs": ["1"]},
+                     id="no-valuation"),
+        pytest.param({"variable": "z", "valuation": 0, "coeffs": ["1/0"]},
+                     id="zero-denominator"),
+        pytest.param({"variable": "z", "valuation": 0, "coeffs": ["1.5"]},
+                     id="decimal-string"),
+        pytest.param({"variable": "z", "valuation": 0, "coeffs": [1.5]},
+                     id="float"),
+        pytest.param({"variable": "z", "valuation": 0, "coeffs": [True]},
+                     id="boolean"),
+        pytest.param({"variable": "z", "valuation": "0", "coeffs": ["1"]},
+                     id="string-valuation"),
+        pytest.param({"variable": "z", "valuation": 0, "order": 4.0,
+                      "coeffs": ["1"]}, id="float-order"),
+        pytest.param({"variable": "z", "valuation": 3, "order": 2,
+                      "coeffs": ["1"]}, id="order-below-valuation"),
+        pytest.param({"variable": 1, "valuation": 0, "coeffs": ["1"]},
+                     id="numeric-variable"),
+        pytest.param({"variable": "z", "valuation": 0, "coeffs": "1"},
+                     id="coeffs-not-a-list"),
+        pytest.param({"variable": "q", "valuation": 0, "coeffs": ["1"]},
+                     id="mixed-variables"),
+    ])
+    def test_malformed_record_is_usage_error(self, runner, tmp_path, record):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([
+            {"variable": "z", "valuation": 0, "order": None,
+             "coeffs": ["1", "2"]},
+            record,
+        ]))
+        res = runner.invoke(main, ["wronskian", "--input", str(path)])
+        assert res.exit_code == 2
+        assert "Error" in res.output and "Traceback" not in res.output
 
     def test_empty_input_is_usage_error(self, runner, tmp_path):
         path = tmp_path / "empty.json"

@@ -1,47 +1,82 @@
 """Hypergeometric operators, Frobenius bases, and normal forms."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mirrormap.operators import (DeltaOperator, Poly, RationalFunction,
+from mirrormap.operators import (DeltaOperator, RationalFunction,
                                  build_operator, eighth_operator,
                                  fourth_order_normal_form, frobenius_basis,
                                  g_functions, mirror_operator, pfq_series,
+                                 poly, poly_divmod, poly_gcd,
                                  second_order_normal_form, stirling2,
                                  symmetric_square_check)
 from mirrormap.series import LogSeries, PowerSeries, Q, rat
 
 
-class TestPoly:
+def _degree(p):
+    return p.val + len(p.coeffs) - 1 if p.coeffs else -1
+
+
+class TestPolynomialHelpers:
     def test_divmod(self):
-        a = Poly([rat(-1), rat(0), rat(1)])      # z^2 - 1
-        b = Poly([rat(1), rat(1)])               # z + 1
-        q, r = a.divmod(b)
-        assert q == Poly([rat(-1), rat(1)]) and r.is_zero()
+        a = poly([rat(-1), rat(0), rat(1)])      # z^2 - 1
+        b = poly([rat(1), rat(1)])               # z + 1
+        q, r = poly_divmod(a, b)
+        assert q == poly([rat(-1), rat(1)]) and r.is_zero()
 
     def test_gcd_is_monic(self):
-        a = Poly([rat(0), rat(2), rat(2)])
-        b = Poly([rat(0), rat(4)])
-        g = a.gcd(b)
-        assert g == Poly([rat(0), rat(1)])
+        a = poly([rat(0), rat(2), rat(2)])
+        b = poly([rat(0), rat(4)])
+        g = poly_gcd(a, b)
+        assert g == poly([rat(0), rat(1)])
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            poly_divmod(poly([1]), poly([]))
+
+
+_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_polys = st.lists(_rationals, min_size=1, max_size=6).map(poly)
+_nonzero_polys = _polys.filter(lambda p: not p.is_zero())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, _nonzero_polys)
+def test_divmod_identity(a, b):
+    q, r = poly_divmod(a, b)
+    assert a == q * b + r
+    assert _degree(r) < _degree(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_nonzero_polys, _polys, _nonzero_polys)
+def test_gcd_monic_common_divisor(a, b, f):
+    g = poly_gcd(a * f, b * f)
+    assert g.coeffs[-1] == 1
+    for x in (a * f, b * f):
+        assert poly_divmod(x, g)[1].is_zero()
+    # the planted common factor divides the gcd
+    assert poly_divmod(g, f)[1].is_zero()
 
 
 class TestRationalFunction:
     def test_reduction(self):
-        rf = RationalFunction(Poly([rat(0), rat(2), rat(2)]),
-                              Poly([rat(0), rat(4)]))
-        assert rf == RationalFunction(Poly([rat(1), rat(1)]),
-                                      Poly([rat(2)]))
+        rf = RationalFunction(poly([rat(0), rat(2), rat(2)]),
+                              poly([rat(0), rat(4)]))
+        assert rf == RationalFunction(poly([rat(1), rat(1)]),
+                                      poly([rat(2)]))
 
     def test_deriv_quotient_rule(self):
-        rf = RationalFunction(Poly([rat(1)]), Poly([rat(1), rat(-1)]))
+        rf = RationalFunction(poly([rat(1)]), poly([rat(1), rat(-1)]))
         # d/dz 1/(1-z) = 1/(1-z)^2
-        expect = RationalFunction(Poly([rat(1)]),
-                                  Poly([rat(1), rat(-1)])
-                                  * Poly([rat(1), rat(-1)]))
+        expect = RationalFunction(poly([rat(1)]),
+                                  poly([rat(1), rat(-1)])
+                                  * poly([rat(1), rat(-1)]))
         assert rf.deriv() == expect
 
     def test_series_of_pole(self):
-        rf = RationalFunction(Poly([rat(1)]), Poly([rat(0), rat(1)]))
+        rf = RationalFunction(poly([rat(1)]), poly([rat(0), rat(1)]))
         s = rf.series("z", 4)
         assert s.val == -1 and s.coeff(-1) == 1
 
@@ -52,7 +87,7 @@ class TestStirlingConversion:
 
     def test_delta_power_as_dz(self):
         # delta^2 f = z f' + z^2 f'' checked on f = z^3
-        op = DeltaOperator([Poly([]), Poly([]), Poly([rat(1)])])
+        op = DeltaOperator([poly([]), poly([]), poly([rat(1)])])
         f = PowerSeries.monomial("z", 3, 1, order=8)
         applied = op.apply(f)
         assert applied.power_part().coeff(3) == 9
@@ -125,3 +160,10 @@ class TestBuildOperator:
     def test_eighth_annihilates_its_f0(self):
         f = pfq_series([Q(1, 8), Q(3, 8)], [rat(1)], rat(256), 12)
         assert eighth_operator().apply(f).is_zero()
+
+
+def test_public_exports_resolve():
+    import mirrormap
+    assert len(set(mirrormap.__all__)) == len(mirrormap.__all__)
+    for name in mirrormap.__all__:
+        assert hasattr(mirrormap, name), name

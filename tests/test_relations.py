@@ -65,10 +65,10 @@ class TestCoupledIdentities:
 
 
 @pytest.mark.parametrize("check", [
-    lambda: verify_hodge_identity(3, 8),
+    lambda: verify_hodge_identity(3, 16),
     lambda: verify_yukawa_identity(8),
     lambda: ab_quantities(8),
-    lambda: verify_eq_schwarzian(4, 8),
+    lambda: verify_eq_schwarzian(4, 16),
     lambda: verify_eq_second(8),
     lambda: verify_eq_fourth(8),
 ], ids=["hodge", "eq19", "ab", "eq9", "eq16", "eq25"])

@@ -52,6 +52,18 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             PowerSeries.zero("z", 6).inverse()
 
+    @pytest.mark.parametrize("a, b, equal", [
+        (PowerSeries.one("z"), PowerSeries.one("z"), True),
+        (PowerSeries.one("z"), 1, True),
+        (ps([1, 2], order=BIG_ORDER), ps([1, 2, 0, 0, 5], order=BIG_ORDER),
+         False),
+        (ps([1, 2], order=BIG_ORDER), ps([1, 2, 7], order=3), False),
+        (ps([1, 2], order=BIG_ORDER), ps([1, 2], order=4), True),
+        (PowerSeries.zero("z"), ps([0, 0, 1], order=BIG_ORDER), False),
+    ])
+    def test_exact_equality_is_finite(self, a, b, equal):
+        assert (a == b) is equal and (b == a) is equal
+
     def test_geometric_inverse(self):
         one_minus = ps([1, -1], order=10)
         inv = one_minus.inverse()
@@ -74,6 +86,21 @@ class TestCompositionReversion:
         comp = outer.compose(inner)
         brute = (1 + inner) * (1 + inner) * (1 + inner)
         assert (comp - brute).is_zero()
+
+    def test_compose_exact_polynomial_order(self):
+        # z^2 + z^3 at an inner series of valuation 1 is known as far as
+        # inner^2 is, one term past the inner order
+        outer = ps([0, 0, 1, 1], order=BIG_ORDER)
+        inner = PowerSeries("q", 1, [rat(1), rat(1)], 6)
+        comp = outer.compose(inner)
+        assert comp.order == (inner * inner).order == 7
+        assert (comp - inner * inner * (1 + inner)).is_zero()
+
+    def test_compose_exact_zero_and_constant(self):
+        inner = PowerSeries("q", 1, [rat(1), rat(1)], 6)
+        assert PowerSeries.zero("z").compose(inner).is_zero()
+        const = PowerSeries.monomial("z", 0, 3).compose(inner)
+        assert const.order == BIG_ORDER and const == 3
 
     def test_compose_laurent_outer(self):
         outer = ps([1], val=-1, order=5)   # 1/z
@@ -348,3 +375,38 @@ def test_known_to_refuses_short_series():
     assert f.known_to(3).order == 3
     with pytest.raises(TruncationError):
         f.known_to(6)
+
+
+@st.composite
+def _compose_pair(draw):
+    """An outer power series (finite or exact) and an inner series of
+    valuation >= 1, plus both with random coefficients past their orders."""
+    ints = st.integers(-3, 3)
+    oval = draw(st.integers(0, 3))
+    ocs = draw(st.lists(ints, min_size=1, max_size=5))
+    exact = draw(st.booleans())
+    oorder = BIG_ORDER if exact else oval + len(ocs) + draw(st.integers(0, 2))
+    v = draw(st.integers(1, 2))
+    ics = [draw(st.sampled_from([1, -2, 3]))] + draw(st.lists(ints,
+                                                             max_size=5))
+    iorder = v + len(ics) + draw(st.integers(0, 2))
+    tail = draw(st.lists(ints, min_size=6, max_size=6))
+    outer = PowerSeries("z", oval, ocs, oorder)
+    inner = PowerSeries("q", v, ics, iorder)
+    pad = [0] * (iorder - v - len(ics))
+    longer_inner = PowerSeries("q", v, ics + pad + tail, iorder + 6)
+    longer_outer = outer if exact else PowerSeries(
+        "z", oval, ocs + [0] * (oorder - oval - len(ocs)) + tail, oorder + 6)
+    return outer, inner, longer_outer, longer_inner
+
+
+@settings(max_examples=100, deadline=None)
+@given(_compose_pair())
+def test_compose_order_is_honest(pair):
+    """No coefficient inside the reported order depends on the unknown
+    coefficients of either argument."""
+    outer, inner, longer_outer, longer_inner = pair
+    comp = outer.compose(inner)
+    longer = longer_outer.compose(longer_inner)
+    assert longer.order >= comp.order
+    assert longer.truncate(comp.order) == comp
