@@ -11,7 +11,7 @@ import sys
 import click
 
 from .golden import golden_report
-from .mirror import mirror_data
+from .mirror import mirror_data, verify_hodge_identity
 from .relations import (relation_search, verify_duality, verify_eq_fourth,
                         verify_eq_schwarzian, verify_eq_second)
 from .series import LogSeries, series_from_record, series_to_record
@@ -19,7 +19,6 @@ from .wronskian import IndeterminateWronskian, wronskian
 from .yukawa import (evaluate_F0_at, instanton_numbers, integrality_suite,
                      prepotential, verify_pandharipande,
                      verify_yukawa_identity, yukawa_coupling)
-from .mirror import verify_hodge_identity
 
 
 def _render_text(data, indent=0):
@@ -208,84 +207,54 @@ def verify():
     """Verification drivers; exit 1 on any nonzero residual."""
 
 
-def _finish_residuals(name, order, residuals, fmt, out, extra=None):
-    ok = all(r.is_zero() for r in residuals)
-    data = {"check": name, "order": order, "pass": ok}
-    if extra:
-        data.update(extra)
-    _emit(data, fmt, out)
-    if not ok:
-        sys.exit(1)
+#: The residual checks, in the order ``verify all`` runs them: (name, help,
+#: default --order, --s choices, residual call, order cap in ``verify all``).
+#: The calls look the library functions up at call time, so a wrapper
+#: rebound on this module's globals sees every check.
+RESIDUAL_CHECKS = (
+    ("hodge", "Square-of-f0 identity for the modular cases.", 32, (3, 4),
+     lambda order, s: [verify_hodge_identity(s, order)], None),
+    ("eq9", "Schwarzian equation for the modular cases.", 24, (3, 4),
+     lambda order, s: [verify_eq_schwarzian(s, order)], None),
+    ("eq19", "Defining identity of the Yukawa coupling.", 32, (),
+     lambda order, s: [verify_yukawa_identity(order)], None),
+    ("eq16", "Second-order coupled equation for z(q) and K(q).", 24, (),
+     lambda order, s: [verify_eq_second(order)], None),
+    ("eq25", "Fourth-order coupled equation for z(q) and K(q).", 24, (),
+     lambda order, s: [verify_eq_fourth(order)], None),
+    ("pandharipande", "d^2/dt^2 (1/K) d^2/dt^2 t_j = 0 for j = 0..3.", 20,
+     (), lambda order, s: verify_pandharipande(order), 20),
+    ("duality", "A2 = B2 and A4 = B4 on the actual mirror-map data.", 20,
+     (), lambda order, s: verify_duality(order), 20),
+)
 
 
-@verify.command()
-@click.option("--s", "s", type=click.Choice(["3", "4"]), required=True)
-@click.option("--order", type=int, default=24, show_default=True)
-@_common
-def eq9(s, order, fmt, out):
-    """Schwarzian equation for the modular cases."""
-    _check_order(order)
-    _finish_residuals("eq9", order, [verify_eq_schwarzian(int(s), order)],
-                      fmt, out, {"s": int(s)})
+def _vanish(residuals):
+    return all(r.is_zero() for r in residuals)
 
 
-@verify.command()
-@click.option("--order", type=int, default=24, show_default=True)
-@_common
-def eq16(order, fmt, out):
-    """Second-order coupled equation for z(q) and K(q)."""
-    _check_order(order)
-    _finish_residuals("eq16", order, [verify_eq_second(order)], fmt, out)
+def _residual_command(name, help_text, default_order, s_choices, residuals):
+    def command(order, fmt, out, s=None):
+        _check_order(order)
+        s = s and int(s)
+        ok = _vanish(residuals(order, s))
+        data = {"check": name, "order": order, "pass": ok}
+        if s:
+            data["s"] = s
+        _emit(data, fmt, out)
+        if not ok:
+            sys.exit(1)
+
+    command = click.option("--order", type=int, default=default_order,
+                           show_default=True)(_common(command))
+    if s_choices:
+        command = click.option("--s", "s", required=True, type=click.Choice(
+            [str(v) for v in s_choices]))(command)
+    verify.command(name, help=help_text)(command)
 
 
-@verify.command()
-@click.option("--order", type=int, default=24, show_default=True)
-@_common
-def eq25(order, fmt, out):
-    """Fourth-order coupled equation for z(q) and K(q)."""
-    _check_order(order)
-    _finish_residuals("eq25", order, [verify_eq_fourth(order)], fmt, out)
-
-
-@verify.command()
-@click.option("--s", "s", type=click.Choice(["3", "4"]), required=True)
-@click.option("--order", type=int, default=32, show_default=True)
-@_common
-def hodge(s, order, fmt, out):
-    """Square-of-f0 identity for the modular cases."""
-    _check_order(order)
-    _finish_residuals("hodge", order, [verify_hodge_identity(int(s), order)],
-                      fmt, out, {"s": int(s)})
-
-
-@verify.command()
-@click.option("--order", type=int, default=32, show_default=True)
-@_common
-def eq19(order, fmt, out):
-    """Defining identity of the Yukawa coupling."""
-    _check_order(order)
-    _finish_residuals("eq19", order, [verify_yukawa_identity(order)],
-                      fmt, out)
-
-
-@verify.command()
-@click.option("--order", type=int, default=20, show_default=True)
-@_common
-def pandharipande(order, fmt, out):
-    """d^2/dt^2 (1/K) d^2/dt^2 t_j = 0 for j = 0..3."""
-    _check_order(order)
-    _finish_residuals("pandharipande", order, verify_pandharipande(order),
-                      fmt, out)
-
-
-@verify.command()
-@click.option("--order", type=int, default=20, show_default=True)
-@_common
-def duality(order, fmt, out):
-    """A2 = B2 and A4 = B4 on the actual mirror-map data."""
-    _check_order(order)
-    _finish_residuals("duality", order, list(verify_duality(order)),
-                      fmt, out)
+for _check in RESIDUAL_CHECKS:
+    _residual_command(*_check[:5])
 
 
 @verify.command()
@@ -309,20 +278,11 @@ def verify_all(order, fmt, out):
     """Run every verification plus the golden suite."""
     _check_order(order)
     checks = []
-
-    def run(name, residuals):
-        checks.append({"check": name,
-                       "pass": all(r.is_zero() for r in residuals)})
-
-    run("hodge s=3", [verify_hodge_identity(3, order)])
-    run("hodge s=4", [verify_hodge_identity(4, order)])
-    run("eq9 s=3", [verify_eq_schwarzian(3, order)])
-    run("eq9 s=4", [verify_eq_schwarzian(4, order)])
-    run("eq19", [verify_yukawa_identity(order)])
-    run("eq16", [verify_eq_second(order)])
-    run("eq25", [verify_eq_fourth(order)])
-    run("pandharipande", verify_pandharipande(min(order, 20)))
-    run("duality", list(verify_duality(min(order, 20))))
+    for name, _, _, s_choices, residuals, max_order in RESIDUAL_CHECKS:
+        run_order = min(order, max_order or order)
+        for s in s_choices or (None,):
+            checks.append({"check": f"{name} s={s}" if s else name,
+                           "pass": _vanish(residuals(run_order, s))})
     g_items = golden_report(order)
     checks.append({"check": "golden",
                    "pass": all(i["status"] != "fail" for i in g_items)})

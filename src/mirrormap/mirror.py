@@ -28,6 +28,8 @@ def mirror_pipeline(s: int, order: int) -> MirrorData:
     """q(z) = z exp(g1/g0), z(q) = revert(q(z)), f0~ = g0(z(q))."""
     if s < 3:
         raise ValueError("s >= 3 required")
+    if order < 1:
+        raise ValueError(f"mirror pipeline needs order >= 1, got {order}")
     gs = g_functions(s, order)
     g0, g1 = gs[0], gs[1]
     q_over_z = (g1 / g0).exp()
@@ -55,14 +57,16 @@ def integrality_report(f: PowerSeries, through: int):
     return {"pass": True}
 
 
+def hodge_ratio(md: MirrorData) -> PowerSeries:
+    """(delta_q z/z)^{s-2} / (1 - s^s z(q)) of one mirror-map bundle."""
+    z = md.z_of_q
+    return (z.euler() / z) ** (md.s - 2) * (1 - md.s ** md.s * z).inverse()
+
+
 def verify_hodge_identity(s: int, order: int) -> PowerSeries:
-    """Residual of f0~^2 = (delta_q z/z)^{s-2} / (1 - s^s z(q)), s in {3,4}."""
+    """Residual of f0~^2 = hodge_ratio for s in {3, 4}."""
     if s not in (3, 4):
         raise ValueError("the s=5 variant defines the Yukawa coupling; "
                          "use the yukawa module")
     md = mirror_data(s, order)
-    z = md.z_of_q
-    dz_over_z = z.euler() / z
-    rhs = dz_over_z ** (s - 2) * (1 - s ** s * z).inverse()
-    resid = md.f0_tilde * md.f0_tilde - rhs
-    return resid.known_to(order)
+    return (md.f0_tilde * md.f0_tilde - hodge_ratio(md)).known_to(order)

@@ -130,6 +130,8 @@ class RationalFunction:
 
     def eval_series(self, s: PowerSeries) -> PowerSeries:
         """Evaluate at a power series argument (Laurent division allowed)."""
+        if _degree(self.den) == 0:  # a monic constant is 1
+            return self.num.compose(s)
         return self.num.compose(s) / self.den.compose(s)
 
 

@@ -103,10 +103,15 @@ class ABQuantities:
     B4: PowerSeries
 
 
-def ab_quantities(order: int) -> ABQuantities:
+def _quintic_pair(order: int):
+    """z(q) and K(q) with the slack the coupled identities need to be
+    known through the given order."""
     slack = order + 6
-    z = mirror_data(5, slack).z_of_q
-    K = yukawa_coupling(slack)
+    return mirror_data(5, slack).z_of_q, yukawa_coupling(slack)
+
+
+def ab_quantities(order: int) -> ABQuantities:
+    z, K = _quintic_pair(order)
     q2, q0 = quintic_normal_form()
     a2, a4 = a_quantities(z, q2, q0)
     b2, b4 = b_quantities(log_yukawa_derivs(K, 4))
@@ -120,6 +125,12 @@ def verify_duality(order: int):
     both vanish, which is the mirror-map side of the coupled identities."""
     ab = ab_quantities(order)
     return ab.A2 - ab.B2, ab.A4 - ab.B4
+
+
+def _schwarzian_form(q_rf: RationalFunction, z: PowerSeries) -> PowerSeries:
+    """2Q(z)(dz/dt)^2 + {z,t} with d/dt = delta_q."""
+    z1 = z.euler()
+    return 2 * q_rf.eval_series(z) * z1 * z1 + schwarzian(z)
 
 
 def verify_eq_schwarzian(s: int, order: int) -> PowerSeries:
@@ -136,22 +147,16 @@ def verify_eq_schwarzian(s: int, order: int) -> PowerSeries:
         op = eighth_operator()
     else:
         raise ValueError("the Schwarzian case needs s in {3, 4}")
-    q_rf = second_order_normal_form(op)
     z = mirror_data(s, order).z_of_q
-    z1 = z.euler()
-    res = 2 * q_rf.eval_series(z) * z1 * z1 + schwarzian(z)
-    return res.known_to(order)
+    return _schwarzian_form(second_order_normal_form(op), z).known_to(order)
 
 
 def verify_eq_second(order: int) -> PowerSeries:
     """Residual of 2Q(z)(dz/dt)^2 + {z,t} = (2/5)u'' - (1/10)u'^2,
     u = log K; the Laurent principal parts on the left cancel exactly."""
-    slack = order + 6
-    z = mirror_data(5, slack).z_of_q
-    K = yukawa_coupling(slack)
+    z, K = _quintic_pair(order)
     u1, u2 = log_yukawa_derivs(K, 2)
-    z1 = z.euler()
-    lhs = 2 * rational_q().eval_series(z) * z1 * z1 + schwarzian(z)
+    lhs = _schwarzian_form(rational_q(), z)
     rhs = Q(2, 5) * u2 - Q(1, 10) * u1 * u1
     return (lhs - rhs).known_to(order)
 
@@ -159,9 +164,7 @@ def verify_eq_second(order: int) -> PowerSeries:
 def verify_eq_fourth(order: int) -> PowerSeries:
     """Residual of Qtilde(z)(z'/z)^4 =
     (175K'^4 - 280KK'^2K'' + 49K^2K''^2 + 70K^2K'K''' - 10K^3K'''')/K^4."""
-    slack = order + 6
-    z = mirror_data(5, slack).z_of_q
-    K = yukawa_coupling(slack)
+    z, K = _quintic_pair(order)
     _, k1, k2, k3, k4 = euler_ladder(K, 4)
     lhs = rational_q_tilde().eval_series(z) * (z.euler() / z) ** 4
     num = (175 * k1 ** 4 - 280 * K * k1 * k1 * k2
@@ -185,15 +188,15 @@ SEARCH_WEIGHTS = (2, 3, 4, 5, 6, 7, 4, 5, 6, 7)
 class RelationSearchResult:
     mode: str
     found: bool
-    weight: int | None
-    polynomial: DiffPolynomial | None
-    stratum_size: int | None
-    degree_set: tuple | None
-    verified_fresh: bool
-    verified_dual: bool
     weights_scanned: tuple
     seed: int
     elapsed: float
+    weight: int | None = None
+    polynomial: DiffPolynomial | None = None
+    stratum_size: int | None = None
+    degree_set: tuple | None = None
+    verified_fresh: bool = False
+    verified_dual: bool = False
 
     def summary(self):
         out = {
@@ -235,27 +238,31 @@ def _monomials(weights, target):
     return out
 
 
-def _random_u(rng: random.Random, order: int) -> PowerSeries:
-    coeffs = [rat(rng.randint(-9, 9)) for _ in range(order - 1)]
+def _random_series(rng: random.Random, order: int,
+                   nonzero_lead: bool) -> PowerSeries:
+    """q * (random integers in [-9, 9]) + O(q^order); with ``nonzero_lead``
+    the q^1 coefficient is drawn from the nonzero ones."""
+    coeffs = [rat(rng.choice([c for c in range(-9, 10) if c]))] \
+        if nonzero_lead else []
+    coeffs += [rat(rng.randint(-9, 9))
+               for _ in range(order - 1 - len(coeffs))]
     return PowerSeries("q", 1, coeffs, order)
 
 
-def _random_z(rng: random.Random, order: int) -> PowerSeries:
-    coeffs = [rat(rng.choice([c for c in range(-9, 10) if c]))]
-    coeffs += [rat(rng.randint(-9, 9)) for _ in range(order - 2)]
-    return PowerSeries("q", 1, coeffs, order)
-
-
-def _symbol_values(mode: str, fn: PowerSeries):
-    """The ten series the symbols stand for, on one concrete input."""
-    if mode == "p2":
-        base2, base4 = b_quantities(euler_ladder(fn.euler(), 3))
-    elif mode == "p1":
-        q2, q0 = quintic_normal_form()
-        base2, base4 = a_quantities(fn, q2, q0)
-    else:
-        raise ValueError(f"unknown search mode {mode!r}")
+def _symbol_ladder(base2: PowerSeries, base4: PowerSeries):
+    """The ten series the symbols stand for, from their two bases."""
     return euler_ladder(base2, 5) + euler_ladder(base4, 3)
+
+
+#: mode -> (symbols, the two bases on one native input u = log K or z, whether
+#: that input needs a nonzero q^1 coefficient, the two bases of the dual side:
+#: the actual mirror map for p2, the actual log-Yukawa coupling for p1).
+_SEARCH_MODES = {
+    "p2": (P2_SYMBOLS, lambda u: b_quantities(euler_ladder(u.euler(), 3)),
+           False, lambda ab: (ab.A2, ab.A4)),
+    "p1": (P1_SYMBOLS, lambda z: a_quantities(z, *quintic_normal_form()),
+           True, lambda ab: (ab.B2, ab.B4)),
+}
 
 
 def _stack_rows(monos, value_sets):
@@ -296,57 +303,40 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
     extra random inputs until it has comfortably more rows than columns.
     """
     start = time.perf_counter()
+    if mode not in _SEARCH_MODES:
+        raise ValueError(f"unknown search mode {mode!r}")
+    symbols, bases, nonzero_lead, dual_bases = _SEARCH_MODES[mode]
     rng = random.Random(seed)
-    symbols = P2_SYMBOLS if mode == "p2" else P1_SYMBOLS
-    make_input = _random_u if mode == "p2" else _random_z
-    value_sets = [_symbol_values(mode, make_input(rng, order))
-                  for _ in range(trials)]
-    scanned = []
+
+    def symbol_values():
+        return _symbol_ladder(*bases(_random_series(rng, order,
+                                                    nonzero_lead)))
+
+    value_sets = [symbol_values() for _ in range(trials)]
+    scanned, found = [], {}
     for weight in range(2, weight_bound + 1):
         monos = _monomials(SEARCH_WEIGHTS, weight)
         if not monos:
             continue
         scanned.append(weight)
         while len(value_sets) * (order - 1) < len(monos) + 10:
-            value_sets.append(_symbol_values(mode, make_input(rng, order)))
-        rows = _stack_rows(monos, value_sets)
-        basis = nullspace(rows, len(monos))
+            value_sets.append(symbol_values())
+        basis = nullspace(_stack_rows(monos, value_sets), len(monos))
         if not basis:
             continue
-        coeffs = _integerize(basis[0])
         poly = DiffPolynomial(symbols, SEARCH_WEIGHTS,
-                              dict(zip(monos, coeffs)))
-        fresh = all(
-            poly.evaluate(_symbol_values(mode, make_input(rng, order)))
-            .is_zero()
-            for _ in range(2))
-        dual = _verify_dual(mode, poly, max(16, order // 2))
-        return RelationSearchResult(
-            mode=mode, found=True, weight=weight, polynomial=poly,
-            stratum_size=len(monos),
-            degree_set=tuple(poly.degree_set()),
-            verified_fresh=fresh, verified_dual=dual,
-            weights_scanned=tuple(scanned), seed=seed,
-            elapsed=time.perf_counter() - start)
+                              dict(zip(monos, _integerize(basis[0]))))
+        fresh = all(poly.evaluate(symbol_values()).is_zero()
+                    for _ in range(2))
+        # the coupled-equation content, not a formal consequence of the
+        # search: the relation must also kill the dual side's symbols
+        ab = ab_quantities(max(16, order // 2))
+        dual = poly.evaluate(_symbol_ladder(*dual_bases(ab))).is_zero()
+        found = {"weight": weight, "polynomial": poly,
+                 "stratum_size": len(monos),
+                 "degree_set": tuple(poly.degree_set()),
+                 "verified_fresh": fresh, "verified_dual": dual}
+        break
     return RelationSearchResult(
-        mode=mode, found=False, weight=None, polynomial=None,
-        stratum_size=None, degree_set=None, verified_fresh=False,
-        verified_dual=False, weights_scanned=tuple(scanned), seed=seed,
-        elapsed=time.perf_counter() - start)
-
-
-def _verify_dual(mode: str, poly: DiffPolynomial, order: int) -> bool:
-    """A p2 relation must also kill the A-quantities of the actual mirror
-    map (and a p1 relation the B-quantities of the actual log K): that is
-    the coupled-equation content, not a formal consequence of the search."""
-    slack = order + 6
-    if mode == "p2":
-        z = mirror_data(5, slack).z_of_q
-        q2, q0 = quintic_normal_form()
-        base2, base4 = a_quantities(z, q2, q0)
-    else:
-        K = yukawa_coupling(slack)
-        base2, base4 = b_quantities(log_yukawa_derivs(K, 4))
-    values = euler_ladder(base2, 5) + euler_ladder(base4, 3)
-    res = poly.evaluate([v.truncate(order) for v in values])
-    return res.is_zero()
+        mode=mode, found=bool(found), weights_scanned=tuple(scanned),
+        seed=seed, elapsed=time.perf_counter() - start, **found)

@@ -296,12 +296,18 @@ class PowerSeries:
     # -- composition, reversion, exp/log ----------------------------------
 
     def compose(self, inner):
-        """self(inner); inner must have valuation >= 1."""
+        """self(inner); inner must have valuation >= 1.
+
+        A Laurent self is p(inner) * inner^val with p = self / x^val; inner
+        is cut to the order that keeps p(inner)'s, so an exact inner works."""
         v = inner.val
         if inner.is_zero():
             v = inner.order
         if v < 1:
             raise ValueError("composition requires inner valuation >= 1")
+        if self.coeffs and self.val < 0:
+            p = self.shift(-self.val).compose(inner)
+            return p * inner.truncate(p.order + v) ** self.val
         # unknown terms start at x^order; a term c_k x^k with k != 0 is
         # known to inner.order + (k - 1) v, so the lowest such k bounds N
         bounds = [self.order * v]
@@ -314,22 +320,13 @@ class PowerSeries:
         if not self.coeffs:
             return total
         inner_t = inner.truncate(N)
-        if self.val + len(self.coeffs) > 0:
-            p = PowerSeries.one(var, N)
-            for k in range(0, self.val + len(self.coeffs)):
-                if k >= self.val:
-                    c = self.coeffs[k - self.val]
-                    if c != 0:
-                        total = total + c * p
-                p = (p * inner_t).truncate(N)
-        if self.val < 0:
-            j = inner_t.inverse().truncate(N)
-            p = PowerSeries.one(var, N)
-            for k in range(1, -self.val + 1):
-                p = (p * j).truncate(N)
-                c = self.coeff(-k)
+        p = PowerSeries.one(var, N)
+        for k in range(self.val + len(self.coeffs)):
+            if k >= self.val:
+                c = self.coeffs[k - self.val]
                 if c != 0:
                     total = total + c * p
+            p = (p * inner_t).truncate(N)
         return total.truncate(N)
 
     def revert(self, new_var="q"):
@@ -542,7 +539,12 @@ def _wire_coeff(c) -> Q:
 
 
 def series_from_record(rec) -> PowerSeries:
-    """Parse the wire format; raises ValueError on a malformed record."""
+    """Parse the wire format; raises ValueError on a malformed record.
+
+    Listed coefficients must stop below the record's order, and every
+    exponent below ``BIG_ORDER >> 1``, where orders start to read as
+    exact; the exact zero ``series_to_record`` writes is the exception.
+    """
     if not isinstance(rec, dict):
         raise ValueError("a series record must be an object")
     var, val = rec.get("variable"), rec.get("valuation")
@@ -551,10 +553,16 @@ def series_from_record(rec) -> PowerSeries:
         raise ValueError("'variable' must be a string")
     if not _wire_int(val):
         raise ValueError("'valuation' must be an integer")
-    if order is None:
-        order = BIG_ORDER
-    elif not _wire_int(order) or order < val:
-        raise ValueError("'order' must be null or an integer >= 'valuation'")
     if not isinstance(coeffs, list):
         raise ValueError("'coeffs' must be a list")
+    limit = BIG_ORDER >> 1
+    if order is None:
+        if val == BIG_ORDER and not coeffs:
+            return PowerSeries.zero(var)
+        if val + max(len(coeffs), 1) > limit:
+            raise ValueError(f"exponents must stay below {limit}")
+        order = BIG_ORDER
+    elif not _wire_int(order) or not val + len(coeffs) <= order < limit:
+        raise ValueError("'order' must be null or an integer past the "
+                         f"listed coefficients and below {limit}")
     return PowerSeries(var, val, [_wire_coeff(c) for c in coeffs], order)

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .mirror import integrality_report, mirror_data
+from .mirror import hodge_ratio, integrality_report, mirror_data
 from .series import LogSeries, PowerSeries, Q, ZERO, rat
 
 
@@ -24,11 +24,8 @@ class InstantonTable:
 def yukawa_from_definition(order: int) -> PowerSeries:
     """K(q) = 5 (delta_q z/z)^3 / ((1 - 5^5 z(q)) f0~^2); K(0) = 5."""
     md = mirror_data(5, order)
-    z = md.z_of_q
-    dz_over_z = z.euler() / z
     f0t = md.f0_tilde
-    k = 5 * dz_over_z ** 3 * ((1 - 5 ** 5 * z) * f0t * f0t).inverse()
-    return k.known_to(order)
+    return (5 * hodge_ratio(md) * (f0t * f0t).inverse()).known_to(order)
 
 
 @lru_cache(maxsize=8)
@@ -39,9 +36,7 @@ def yukawa_coupling(order: int) -> PowerSeries:
 def verify_yukawa_identity(order: int) -> PowerSeries:
     """Residual of f0~^2 = (delta_q z/z)^3 / (1 - 5^5 z) * 5/K."""
     md = mirror_data(5, order + 2)
-    K = yukawa_coupling(order + 2)
-    z = md.z_of_q
-    rhs = (z.euler() / z) ** 3 * (1 - 5 ** 5 * z).inverse() * 5 * K.inverse()
+    rhs = hodge_ratio(md) * 5 * yukawa_coupling(order + 2).inverse()
     return (md.f0_tilde * md.f0_tilde - rhs).known_to(order)
 
 

@@ -92,6 +92,9 @@ class TestVerify:
         data = json.loads(res.output)
         assert data["pass"] is True
         assert all(c["pass"] for c in data["checks"])
+        assert [c["check"] for c in data["checks"]] == [
+            "hodge s=3", "hodge s=4", "eq9 s=3", "eq9 s=4", "eq19", "eq16",
+            "eq25", "pandharipande", "duality", "golden", "integrality"]
 
     @pytest.mark.parametrize("args", [
         ["verify", "eq16", "--order", "16"],
@@ -189,6 +192,10 @@ class TestWronskianCommand:
                      id="coeffs-not-a-list"),
         pytest.param({"variable": "q", "valuation": 0, "coeffs": ["1"]},
                      id="mixed-variables"),
+        pytest.param({"variable": "z", "valuation": 0, "order": 2,
+                      "coeffs": ["1", "2", "3"]}, id="coeffs-past-order"),
+        pytest.param({"variable": "z", "valuation": 1 << 40, "order": None,
+                      "coeffs": ["1"]}, id="valuation-past-exact-order"),
     ])
     def test_malformed_record_is_usage_error(self, runner, tmp_path, record):
         path = tmp_path / "bad.json"

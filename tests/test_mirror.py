@@ -30,6 +30,12 @@ class TestPipeline:
         with pytest.raises(ValueError):
             mirror_pipeline(2, 8)
 
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_rejects_nonpositive_order(self, order):
+        with pytest.raises(ValueError, match=f"got {order}"):
+            mirror_pipeline(5, order)
+        assert mirror_pipeline(5, 1).z_of_q.order == 2
+
     def test_cache_returns_same_object(self):
         assert mirror_data(4, 12) is mirror_data(4, 12)
 

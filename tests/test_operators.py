@@ -80,6 +80,12 @@ class TestRationalFunction:
         s = rf.series("z", 4)
         assert s.val == -1 and s.coeff(-1) == 1
 
+    def test_eval_series_constant_denominator(self):
+        s = PowerSeries("q", 1, [1, 3], 6)
+        assert RationalFunction(0).eval_series(s).is_zero()
+        value = RationalFunction(poly([1, 0, 2])).eval_series(s)
+        assert value.order == 7 and (value - (1 + 2 * s * s)).is_zero()
+
 
 class TestStirlingConversion:
     def test_stirling_values(self):

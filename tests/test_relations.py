@@ -71,7 +71,8 @@ class TestCoupledIdentities:
     lambda: verify_eq_schwarzian(4, 16),
     lambda: verify_eq_second(8),
     lambda: verify_eq_fourth(8),
-], ids=["hodge", "eq19", "ab", "eq9", "eq16", "eq25"])
+    lambda: relation_search("p2", order=24),
+], ids=["hodge", "eq19", "ab", "eq9", "eq16", "eq25", "search-dual"])
 def test_verifier_refuses_short_bundle(monkeypatch, check):
     # a bundle known to fewer terms must not yield a silently short residual
     K = yukawa_coupling(20)

@@ -107,6 +107,10 @@ class TestCompositionReversion:
         inner = PowerSeries("q", 1, [rat(1), rat(-1)], 8)
         comp = outer.compose(inner)
         assert (comp * inner - 1).is_zero()
+        assert comp.order == 5   # the unknown O(z^5) is O(q^5)
+        # an outer known only to z^0 keeps its known term
+        short = ps([1], val=-1, order=0).compose(PowerSeries("q", 1, [1], 2))
+        assert short.val == -1 and short.order == 0 and short.coeff(-1) == 1
 
     def test_revert_round_trip(self):
         f = PowerSeries("z", 1, [rat(1), rat(-5), rat(7), rat(2)], 10)
@@ -382,7 +386,7 @@ def _compose_pair(draw):
     """An outer power series (finite or exact) and an inner series of
     valuation >= 1, plus both with random coefficients past their orders."""
     ints = st.integers(-3, 3)
-    oval = draw(st.integers(0, 3))
+    oval = draw(st.integers(-3, 3))
     ocs = draw(st.lists(ints, min_size=1, max_size=5))
     exact = draw(st.booleans())
     oorder = BIG_ORDER if exact else oval + len(ocs) + draw(st.integers(0, 2))
@@ -410,3 +414,36 @@ def test_compose_order_is_honest(pair):
     longer = longer_outer.compose(longer_inner)
     assert longer.order >= comp.order
     assert longer.truncate(comp.order) == comp
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_series(), st.builds(PowerSeries.zero, st.just("z"),
+                                      st.integers(-5, 20) | st.just(BIG_ORDER))))
+def test_record_round_trip(f):
+    g = series_from_record(series_to_record(f))
+    assert (g.var, g.val, g.order, g.coeffs) == (f.var, f.val, f.order,
+                                                 f.coeffs)
+
+
+_JSON_LEAF = (st.none() | st.booleans() | st.integers() | st.floats()
+              | st.text(max_size=6) | st.sampled_from(["1/0", "-3/4", "7"]))
+_JSON = st.recursive(_JSON_LEAF, lambda kids: st.lists(kids, max_size=4)
+                     | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+                     max_leaves=12)
+_WIRE_INT = (st.integers(-6, 6) | st.sampled_from(
+    [BIG_ORDER >> 1, (BIG_ORDER >> 1) - 1, BIG_ORDER, 1 << 40]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_JSON, st.fixed_dictionaries({
+    "variable": st.just("z") | _JSON_LEAF,
+    "valuation": _WIRE_INT | _JSON_LEAF,
+    "order": st.none() | _WIRE_INT | _JSON_LEAF,
+    "coeffs": st.lists(st.integers(-9, 9) | _JSON_LEAF, max_size=6)
+    | _JSON})))
+def test_record_parses_or_raises_value_error(rec):
+    try:
+        f = series_from_record(rec)
+    except ValueError:
+        return
+    assert isinstance(f, PowerSeries)
