@@ -15,14 +15,18 @@ terms with positive denominator, so integrality checks reduce to
 same code. Products convolve integer numerators over one common
 denominator per operand and build each result coefficient once, so the
 rational type normalises only once per output coefficient. Inverse,
-exponential and reversion are built on that product (Newton iteration and
-Lagrange inversion) and keep no coefficient recurrences of their own.
+exponential, reversion and composition are built on that product and keep
+no coefficient recurrences of their own: inverse and exponential by Newton
+iteration; reversion (Lagrange inversion) and composition by baby steps
+and giant steps, which need about 2 sqrt(N) products at order N, not one
+per coefficient.
 """
 
 from __future__ import annotations
 
 import re
-from math import comb, lcm
+from math import comb, isqrt, lcm
+from operator import mul
 
 try:
     from gmpy2 import mpq as Q
@@ -58,6 +62,28 @@ def _integer_window(coeffs):
     """Integer numerators of ``coeffs`` over their least common denominator."""
     d = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _dense_window(s):
+    """``_integer_window`` of a series with val >= 0, indexed by exponent."""
+    if not s.coeffs:
+        return [], 1
+    nums, d = _integer_window(s.coeffs)
+    return [0] * s.val + nums, d
+
+
+def _baby_steps(p, count):
+    """Baby steps for evaluating p^0 .. p^(count-1), p with val >= 0.
+
+    Returns the dense windows of p^0 .. p^(m-1), m = max(1, isqrt(count)),
+    each as (numerators, denominator), and the giant step p^m; every power
+    is truncated to p's order.
+    """
+    m = max(1, isqrt(count))
+    powers = [PowerSeries.one(p.var, p.order), p]
+    while len(powers) <= m:
+        powers.append((powers[-1] * p).truncate(p.order))
+    return [_dense_window(s) for s in powers[:m]], powers[m]
 
 
 class PowerSeries:
@@ -218,10 +244,14 @@ class PowerSeries:
         """Multiplicative inverse; the lowest known coefficient must be nonzero.
 
         Newton iteration w <- w + w (1 - u w) on u = self / x^val, doubling
-        the precision up to order - val.
+        the precision up to order - val. An exact monomial c x^v has the
+        exact inverse x^(-v) / c; any other exact series has none.
         """
         if not self.coeffs:
             raise ZeroDivisionError("inverse of a zero-to-order series")
+        if len(self.coeffs) == 1 and self.order >= BIG_ORDER:
+            return PowerSeries(self.var, -self.val, (1 / self.coeffs[0],),
+                               BIG_ORDER)
         self._require_finite("inverse")
         L = self.order - self.val
         u = self.shift(-self.val)
@@ -299,7 +329,14 @@ class PowerSeries:
         """self(inner); inner must have valuation >= 1.
 
         A Laurent self is p(inner) * inner^val with p = self / x^val; inner
-        is cut to the order that keeps p(inner)'s, so an exact inner works."""
+        is cut to the order that keeps p(inner)'s, so an exact inner works.
+
+        Paterson-Stockmeyer evaluation (M. S. Paterson and L. J. Stockmeyer,
+        SIAM J. Comput. 2 (1973) 60-66): the K outer coefficients are cut
+        into blocks of m = isqrt(K), each block is one integer combination of
+        the baby steps inner^0 .. inner^(m-1), and Horner's rule runs over
+        the blocks in the giant step inner^m, one series product per block.
+        """
         v = inner.val
         if inner.is_zero():
             v = inner.order
@@ -316,34 +353,56 @@ class PowerSeries:
             bounds.append(inner.order + (k - 1) * v)
         N = min(bounds)
         var = inner.var
-        total = PowerSeries.zero(var, N)
         if not self.coeffs:
-            return total
-        inner_t = inner.truncate(N)
-        p = PowerSeries.one(var, N)
-        for k in range(self.val + len(self.coeffs)):
-            if k >= self.val:
-                c = self.coeffs[k - self.val]
-                if c != 0:
-                    total = total + c * p
-            p = (p * inner_t).truncate(N)
-        return total.truncate(N)
+            return PowerSeries.zero(var, N)
+        # no coefficient below x^N reads an unknown one of inner, so inner
+        # may be read as known, padded with zeros, up to N
+        inner = PowerSeries(var, inner.val, inner.coeffs, N)
+        c, dc = _integer_window(self.coeffs)
+        c = [0] * self.val + c
+        babies, giant = _baby_steps(inner, len(c))
+        d = lcm(*(db for _, db in babies))
+        m = len(babies)
+        total = None
+        for start in reversed(range(0, len(c), m)):
+            acc = [0] * max(len(b) for b, _ in babies)
+            for ck, (b, db) in zip(c[start:start + m], babies):
+                if ck:
+                    ck *= d // db
+                    for j, x in enumerate(b):
+                        acc[j] += ck * x
+            block = PowerSeries(var, 0, [Q(x, dc * d) for x in acc], N)
+            total = block if total is None else total * giant + block
+        return total
 
     def revert(self, new_var="q"):
         """Compositional inverse of a series with valuation exactly 1.
 
         Lagrange inversion: with h = x / self, [q^n] g = [x^(n-1)] h^n / n.
+        Johansson's baby-step/giant-step reversion (F. Johansson, "A fast
+        algorithm for reversion of power series", Math. Comp. 84 (2015)
+        475-484, arXiv:1108.4772): with m = isqrt(N - 1) and n = a m + i,
+        h^n = (h^m)^a h^i, so each [x^(n-1)] h^n is one integer dot product
+        of a giant power with a baby step, and about 2 sqrt(N) series
+        products replace the N of the plain power loop.
         """
         if self.val != 1:
             raise ValueError("reversion requires valuation exactly 1")
         self._require_finite("revert")
         N = self.order
         h = self.shift(-1).inverse()
-        p = PowerSeries.one(self.var)
+        babies, giant = _baby_steps(h, N - 1)
         lead = []
-        for n in range(1, N):
-            p = p * h
-            lead.append(p.coeff(n - 1))
+        power, g, dg = None, [1], 1   # (h^m)^a and its window, a = 0
+        for start in range(0, N, len(babies)):
+            if start:
+                power = giant if power is None else power * giant
+                g, dg = _dense_window(power)
+            for n, (b, db) in enumerate(babies, start):
+                if 0 < n < N:
+                    lo, hi = max(0, n - len(b)), min(len(g), n)
+                    acc = sum(map(mul, g[lo:hi], reversed(b[n - hi:n - lo])))
+                    lead.append(Q(acc, dg * db))
         return PowerSeries(new_var, 1, lead, N)._euler_integral()
 
     def exp(self):

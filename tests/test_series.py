@@ -416,6 +416,119 @@ def test_compose_order_is_honest(pair):
     assert longer.truncate(comp.order) == comp
 
 
+def _compose_reference(outer, inner):
+    """outer(inner) on plain Fractions for a finite inner: sum_k c_k inner^k
+    one term at a time, cut at the order rule of ``compose``; a Laurent
+    outer is p(inner) * inner^val with p = outer / x^val."""
+    v = inner.val
+    shift, c = 0, []
+    if outer.coeffs:
+        shift = min(outer.val, 0)
+        c = [Fraction(0)] * (outer.val - shift) + [_frac(x)
+                                                   for x in outer.coeffs]
+    bounds = [(outer.order - shift) * v]
+    first = next((k for k in range(1, len(c)) if c[k]), None)
+    if first is not None:
+        bounds.append(inner.order + (first - 1) * v)
+    N = min(min(bounds), BIG_ORDER)
+    length = min(N, (len(c) - 1) * (v + len(inner.coeffs) - 1) + 1)
+    b = [_frac(inner.coeff(n)) if n < inner.order else Fraction(0)
+         for n in range(length)]
+    total = [Fraction(0)] * length
+    power = [Fraction(1)] + [Fraction(0)] * (length - 1)
+    for k, ck in enumerate(c):
+        if k * v >= length:   # inner^k starts at x^(k v)
+            break
+        total = [t + ck * p for t, p in zip(total, power)]
+        power = _poly_mul(power, b, length)
+    if not shift:
+        return _normalised(0, total, N)
+    # inner^val through the inverse of inner cut to T, as compose does
+    T = min(N + v, inner.order)
+    u = [_frac(inner.coeff(v + i)) for i in range(T - v)]
+    w = [1 / u[0]]
+    for n in range(1, T - v):
+        w.append(-sum(u[k] * w[n - k] for k in range(1, n + 1)) / u[0])
+    wk = [Fraction(1)] + [Fraction(0)] * (T - v - 1)
+    for _ in range(-shift):
+        wk = _poly_mul(wk, w, T - v)
+    R = min(N, T - v)
+    dense = _poly_mul(total + [Fraction(0)] * (R - len(total)), wk, R)
+    return _normalised(shift * v, dense, R + shift * v)
+
+
+@st.composite
+def _long_compose_pair(draw):
+    """An outer series of up to 30 terms, so several baby-step blocks and a
+    ragged last block occur, and a short inner of valuation 1 or 2 whose
+    order leaves room for the high powers."""
+    oval = draw(st.integers(-3, 3))
+    ocs = draw(st.lists(st.one_of(st.just(Fraction(0)), _rationals),
+                        min_size=1, max_size=30))
+    oorder = draw(st.one_of(st.just(BIG_ORDER), st.integers(0, 3).map(
+        lambda extra: oval + len(ocs) + extra)))
+    v = draw(st.integers(1, 2))
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    ics = [draw(small.filter(lambda x: x != 0))] + draw(
+        st.lists(small, max_size=3))
+    iorder = v + len(ics) + draw(st.integers(0, 28))
+    return (PowerSeries("z", oval, [rat(x) for x in ocs], oorder),
+            PowerSeries("q", v, [rat(x) for x in ics], iorder))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_long_compose_pair())
+def test_compose_matches_term_by_term(pair):
+    outer, inner = pair
+    assert _as_tuple(outer.compose(inner)) == _compose_reference(outer, inner)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 17, 26, 37, 50])
+def test_revert_at_block_boundaries(n):
+    """Orders around the squares, where the baby-step count m = isqrt(n-1)
+    changes and the last giant block is full or holds a single term."""
+    f = PowerSeries("z", 1, [Q(-3, 2), Q(1, 3), 0, Q(2, 5)], n)
+    assert _as_tuple(f.revert("z")) == _revert_reference(f)
+
+
+def test_revert_and_compose_product_counts(monkeypatch):
+    """Baby-step/giant-step kernels form O(sqrt(N)) series products; the
+    term-by-term loops formed one per coefficient."""
+    calls = []
+    product = PowerSeries.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return product(self, other)
+
+    monkeypatch.setattr(PowerSeries, "__mul__", counted)
+    monkeypatch.setattr(PowerSeries, "__rmul__", counted)
+    g = PowerSeries("z", 1, [1, -1, 2], 102).revert("q")
+    assert len(calls) <= 40
+    calls.clear()
+    PowerSeries("z", 0, [1] * 102, 102).compose(g)
+    assert len(calls) <= 3 * 11 + 5   # 3 ceil(sqrt(102)) + 5
+
+
+def test_exact_monomial_inverse():
+    inv = PowerSeries.monomial("z", 3, Q(2, 3)).inverse()
+    assert (inv.val, inv.coeffs, inv.order) == (-3, (Q(3, 2),), BIG_ORDER)
+
+
+def test_compose_laurent_outer_at_exact_inner():
+    comp = PowerSeries("z", -1, [1], BIG_ORDER).compose(
+        PowerSeries("q", 1, [1], BIG_ORDER))
+    assert (comp.val, comp.coeffs, comp.order) == (-1, (1,), BIG_ORDER)
+    # 2/z^2 + 3 at z = q/2 is 8/q^2 + 3
+    comp = PowerSeries("z", -2, [2, 0, 3], BIG_ORDER).compose(
+        PowerSeries.monomial("q", 1, Q(1, 2)))
+    assert (comp.val, comp.coeffs, comp.order) == (-2, (8, 0, 3), BIG_ORDER)
+    # 1/(q + q^2) has no exact (finite) expansion
+    with pytest.raises(ValueError):
+        PowerSeries("z", -1, [1], BIG_ORDER).compose(
+            PowerSeries("q", 1, [1, 1], BIG_ORDER))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_series(), st.builds(PowerSeries.zero, st.just("z"),
                                       st.integers(-5, 20) | st.just(BIG_ORDER))))
