@@ -175,16 +175,16 @@ def wronskian_cmd(path, fmt, out):
 @main.command("search-relation")
 @click.option("--mode", type=click.Choice(["p1", "p2"]), default="p2",
               show_default=True)
-@click.option("--weight-bound", type=int, default=12, show_default=True)
+@click.option("--weight-bound", type=click.IntRange(min=2), default=12,
+              show_default=True)
 @click.option("--order", type=int, default=40, show_default=True)
-@click.option("--trials", type=int, default=2, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_common
-def search_relation(mode, weight_bound, order, trials, seed, fmt, out):
+def search_relation(mode, weight_bound, order, seed, fmt, out):
     """Scan quasi-weight strata for an identically-vanishing relation."""
     _check_order(order, 16)
     result = relation_search(mode=mode, weight_bound=weight_bound,
-                             order=order, trials=trials, seed=seed)
+                             order=order, seed=seed)
     _emit(result.summary(), fmt, out)
     if not (result.found and result.verified_fresh and result.verified_dual):
         sys.exit(1)

@@ -25,47 +25,27 @@ def _as_poly(x) -> PowerSeries:
     return poly(x if isinstance(x, (list, tuple)) else [x])
 
 
-def _degree(p: PowerSeries) -> int:
-    """Degree of a nonzero exact polynomial."""
-    return p.val + len(p.coeffs) - 1
-
-
-def poly_divmod(a: PowerSeries, b: PowerSeries):
-    """Exact long division of polynomials: a = q*b + r, deg r < deg b."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    q, r = PowerSeries.zero(a.var), a
-    while not r.is_zero() and _degree(r) >= _degree(b):
-        t = PowerSeries.monomial(r.var, _degree(r) - _degree(b),
-                                 r.coeffs[-1] / b.coeffs[-1])
-        q, r = q + t, r - t * b
-    return q, r
-
-
-def poly_gcd(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Monic greatest common divisor of two exact polynomials."""
-    while not b.is_zero():
-        a, b = b, poly_divmod(a, b)[1]
-    return a * (1 / a.coeffs[-1]) if a.coeffs else a
-
-
 class RationalFunction:
-    """Reduced quotient of two polynomials in z (exact series), with a
-    monic denominator."""
+    """Exact, unreduced quotient of two polynomials in z (exact series).
+
+    No polynomial gcd is taken: only the common power of z is stripped,
+    the denominator is scaled monic, and zero is 0/1. Equality
+    cross-multiplies, and every evaluation is exact, so a common factor
+    left in num and den changes no value. When the denominator vanishes
+    at z = 0, the order ``eval_series`` reports depends only on its
+    z-valuation, which the strip makes canonical.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=1, reduce=True):
+    def __init__(self, num, den=1):
         num, den = _as_poly(num), _as_poly(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if reduce and not num.is_zero():
-            g = poly_gcd(num, den)
-            if _degree(g) > 0:
-                num = poly_divmod(num, g)[0]
-                den = poly_divmod(den, g)[0]
         if num.is_zero():
             den = poly([1])
+        k = min(num.val, den.val)
+        num, den = num.shift(-k), den.shift(-k)
         lead = den.coeffs[-1]
         if lead != 1:
             num = num * (1 / lead)
@@ -95,7 +75,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den, reduce=False)
+        return RationalFunction(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-_coerce_rf(other))
@@ -130,8 +110,6 @@ class RationalFunction:
 
     def eval_series(self, s: PowerSeries) -> PowerSeries:
         """Evaluate at a power series argument (Laurent division allowed)."""
-        if _degree(self.den) == 0:  # a monic constant is 1
-            return self.num.compose(s)
         return self.num.compose(s) / self.den.compose(s)
 
 

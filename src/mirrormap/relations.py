@@ -292,19 +292,23 @@ def _integerize(vec):
 
 
 def relation_search(mode: str = "p2", weight_bound: int = 12,
-                    order: int = 40, trials: int = 2,
-                    seed: int = 0) -> RelationSearchResult:
+                    order: int = 40, seed: int = 0) -> RelationSearchResult:
     """Scan quasi-weight strata for a differential polynomial in the ten
     symbols that vanishes identically on its native side (arbitrary u for
     mode p2, arbitrary z for mode p1), then certify it on fresh random
     inputs and on the actual mirror-map data of the dual side.
 
-    Deterministic for a fixed seed; the candidate matrix is extended with
-    extra random inputs until it has comfortably more rows than columns.
+    Deterministic for a fixed seed; the candidate matrix starts from two
+    random inputs and is extended with more until it has comfortably more
+    rows than columns. The lowest quasi-weight is 2, so a ``weight_bound``
+    below 2 scans nothing and is refused.
     """
     start = time.perf_counter()
     if mode not in _SEARCH_MODES:
         raise ValueError(f"unknown search mode {mode!r}")
+    if weight_bound < 2:
+        raise ValueError(f"weight bound {weight_bound} is below the lowest "
+                         "quasi-weight 2")
     symbols, bases, nonzero_lead, dual_bases = _SEARCH_MODES[mode]
     rng = random.Random(seed)
 
@@ -312,7 +316,7 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
         return _symbol_ladder(*bases(_random_series(rng, order,
                                                     nonzero_lead)))
 
-    value_sets = [symbol_values() for _ in range(trials)]
+    value_sets = [symbol_values(), symbol_values()]
     scanned, found = [], {}
     for weight in range(2, weight_bound + 1):
         monos = _monomials(SEARCH_WEIGHTS, weight)

@@ -57,6 +57,14 @@ def integrality_suite(order: int):
     return items
 
 
+def _multiple_cover(n) -> list:
+    """[N_1, ..., N_len(n)] with N_m = sum_{k|m} n_{m/k} / k^3, from
+    n = [n_1, n_2, ...]."""
+    return [sum((n[m // k - 1] / rat(k) ** 3
+                 for k in range(1, m + 1) if m % k == 0), ZERO)
+            for m in range(1, len(n) + 1)]
+
+
 def instanton_numbers(K: PowerSeries, count: int) -> InstantonTable:
     """Divisor-sum inversion of K = 5 + sum n_l l^3 q^l/(1-q^l).
 
@@ -74,14 +82,7 @@ def instanton_numbers(K: PowerSeries, count: int) -> InstantonTable:
         if nm.denominator != 1:
             raise ArithmeticError(f"non-integral instanton number at l={m}: {nm}")
         n[m] = nm
-    big_n = [ZERO] * (count + 1)
-    for m in range(1, count + 1):
-        s = ZERO
-        for k in range(1, m + 1):
-            if m % k == 0:
-                s += n[m // k] / rat(k) ** 3
-        big_n[m] = s
-    return InstantonTable(n=tuple(n[1:]), N=tuple(big_n[1:]))
+    return InstantonTable(n=tuple(n[1:]), N=tuple(_multiple_cover(n[1:])))
 
 
 def lambert_expand(n, order: int, constant=5) -> PowerSeries:
@@ -149,14 +150,8 @@ def pullback_logseries(ls: LogSeries, zq: PowerSeries,
 def eisenstein_analog(order: int):
     """K0 = 1 + 240 sum sigma_3(n) q^n and F0 = t^3/6 + 240 sum sum q^{kl}/k^3."""
     K0 = lambert_expand([rat(240)] * order, order, constant=1)
-    big_n = [ZERO] * order
-    for m in range(1, order):
-        s = ZERO
-        for k in range(1, m + 1):
-            if m % k == 0:
-                s += Q(240) / rat(k) ** 3
-        big_n[m] = s
-    return K0, _t_cubic(Q(1, 6), PowerSeries("q", 0, big_n, order))
+    big_n = _multiple_cover([Q(240)] * (order - 1))
+    return K0, _t_cubic(Q(1, 6), PowerSeries("q", 1, big_n, order))
 
 
 def evaluate_F0_at(t_value: float, order: int = 12) -> float:

@@ -154,8 +154,7 @@ def test_09_property_suite():
 
 def test_10_relation_search():
     with _timed(600.0):
-        result = relation_search(mode="p2", weight_bound=12, order=40,
-                                 trials=2, seed=0)
+        result = relation_search(mode="p2", weight_bound=12, order=40, seed=0)
     # a miss is a reported failure, never a silent pass
     assert result.found, (
         f"no relation through quasi-weight 12; scanned {result.weights_scanned}")

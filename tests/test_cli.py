@@ -232,6 +232,13 @@ class TestSearchRelation:
         assert res.exit_code == 1
         assert json.loads(res.output)["found"] is False
 
+    @pytest.mark.parametrize("bound", ["1", "0", "-3"])
+    def test_weight_bound_below_two_is_usage_error(self, runner, bound):
+        res = runner.invoke(main, ["search-relation",
+                                   f"--weight-bound={bound}"])
+        assert res.exit_code == 2
+        assert "--weight-bound" in res.output
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, runner):

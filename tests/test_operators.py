@@ -4,60 +4,48 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirrormap.mirror import mirror_data
 from mirrormap.operators import (DeltaOperator, RationalFunction,
                                  build_operator, eighth_operator,
                                  fourth_order_normal_form, frobenius_basis,
                                  g_functions, mirror_operator, pfq_series,
-                                 poly, poly_divmod, poly_gcd,
-                                 second_order_normal_form, stirling2,
+                                 poly, second_order_normal_form, stirling2,
                                  symmetric_square_check)
 from mirrormap.series import LogSeries, PowerSeries, Q, rat
 
 
-def _degree(p):
-    return p.val + len(p.coeffs) - 1 if p.coeffs else -1
-
-
-class TestPolynomialHelpers:
-    def test_divmod(self):
-        a = poly([rat(-1), rat(0), rat(1)])      # z^2 - 1
-        b = poly([rat(1), rat(1)])               # z + 1
-        q, r = poly_divmod(a, b)
-        assert q == poly([rat(-1), rat(1)]) and r.is_zero()
-
-    def test_gcd_is_monic(self):
-        a = poly([rat(0), rat(2), rat(2)])
-        b = poly([rat(0), rat(4)])
-        g = poly_gcd(a, b)
-        assert g == poly([rat(0), rat(1)])
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            poly_divmod(poly([1]), poly([]))
-
-
 _rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
-_polys = st.lists(_rationals, min_size=1, max_size=6).map(poly)
+_polys = st.lists(_rationals, min_size=1, max_size=4).map(poly)
 _nonzero_polys = _polys.filter(lambda p: not p.is_zero())
+_factors = st.tuples(_nonzero_polys, st.sampled_from([0, 0, 1, 2])).map(
+    lambda fk: fk[0].shift(fk[1]))
+_inner_series = st.builds(
+    lambda v, lead, rest: PowerSeries("q", v, [lead] + rest,
+                                      v + 1 + len(rest)),
+    st.integers(1, 2), _rationals.filter(bool),
+    st.lists(_rationals, max_size=6))
+
+
+def _same_series(a, b):
+    assert (a.val, a.coeffs, a.order) == (b.val, b.coeffs, b.order)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_polys, _nonzero_polys)
-def test_divmod_identity(a, b):
-    q, r = poly_divmod(a, b)
-    assert a == q * b + r
-    assert _degree(r) < _degree(b)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_nonzero_polys, _polys, _nonzero_polys)
-def test_gcd_monic_common_divisor(a, b, f):
-    g = poly_gcd(a * f, b * f)
-    assert g.coeffs[-1] == 1
-    for x in (a * f, b * f):
-        assert poly_divmod(x, g)[1].is_zero()
-    # the planted common factor divides the gcd
-    assert poly_divmod(g, f)[1].is_zero()
+@given(_polys, _nonzero_polys, _factors, st.integers(1, 8), _inner_series)
+def test_common_factor_changes_no_value(n, d, f, k, s):
+    """The quotient is kept unreduced: a common factor changes no value.
+    The evaluation at a series also reports the same order when the pole
+    sits at z = 0 (d(0) = 0) or the factor is a power of z, which the
+    constructor strips; otherwise a factor with f(0) != 0 may shorten
+    the known window, on which the two still agree."""
+    plain, padded = RationalFunction(n, d), RationalFunction(n * f, d * f)
+    assert padded == plain
+    _same_series(padded.series("z", k), plain.series("z", k))
+    value, expect = padded.eval_series(s), plain.eval_series(s)
+    if d.val > 0 or len(f.coeffs) == 1:
+        _same_series(value, expect)
+    else:
+        assert value == expect
 
 
 class TestRationalFunction:
@@ -66,6 +54,11 @@ class TestRationalFunction:
                               poly([rat(0), rat(4)]))
         assert rf == RationalFunction(poly([rat(1), rat(1)]),
                                       poly([rat(2)]))
+
+    def test_common_z_power_is_stripped(self):
+        rf = RationalFunction(poly([0, 0, 3, 3]), poly([0, 2, 2]))
+        assert rf.num == poly([0, Q(3, 2), Q(3, 2)])
+        assert rf.den == poly([1, 1])
 
     def test_deriv_quotient_rule(self):
         rf = RationalFunction(poly([rat(1)]), poly([rat(1), rat(-1)]))
@@ -145,6 +138,25 @@ class TestNormalForms:
         # spot-check the double pole of Q2
         s = q2.series("z", 2)
         assert s.val == -2 and s.coeff(-2) == Q(5, 2)
+
+    @pytest.mark.parametrize("form, s, val, orders", [
+        ("Q(s=3)", 3, -2, {1: -1, 2: 0, 3: 1, 8: 6, 24: 22}),
+        ("Q(eighth)", 4, -2, {1: -1, 2: 0, 3: 1, 8: 6, 24: 22}),
+        ("Q2", 5, -2, {1: -1, 2: 0, 3: 1, 8: 6, 24: 22}),
+        ("Q2'", 5, -3, {1: -2, 2: -1, 3: 0, 8: 5, 24: 21}),
+        ("Q0", 5, -4, {1: -3, 2: -2, 3: -1, 8: 4, 24: 20}),
+    ])
+    def test_eval_series_orders_at_mirror_map(self, form, s, val, orders):
+        """The orders the identities certify from: with z(q) known to
+        order N, a potential with a pole of order a at z = 0 is known to
+        order N - (a + 1)."""
+        q2, q0 = fourth_order_normal_form(mirror_operator(5))
+        rf = {"Q(s=3)": second_order_normal_form(mirror_operator(3)),
+              "Q(eighth)": second_order_normal_form(eighth_operator()),
+              "Q2": q2, "Q2'": q2.deriv(), "Q0": q0}[form]
+        for n, order in orders.items():
+            value = rf.eval_series(mirror_data(s, n).z_of_q)
+            assert (value.val, value.order) == (val, order)
 
     def test_second_order_rejects_higher_order(self):
         with pytest.raises(ValueError):

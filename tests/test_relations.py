@@ -88,8 +88,7 @@ def test_verifier_refuses_short_bundle(monkeypatch, check):
 
 @pytest.fixture(scope="module")
 def result():
-    return relation_search(mode="p2", weight_bound=12, order=40,
-                           trials=2, seed=0)
+    return relation_search(mode="p2", weight_bound=12, order=40, seed=0)
 
 
 class TestRelationSearch:
@@ -109,8 +108,7 @@ class TestRelationSearch:
         assert result.degree_set == (3, 4, 5)
 
     def test_deterministic(self, result):
-        again = relation_search(mode="p2", weight_bound=12, order=40,
-                                trials=2, seed=0)
+        again = relation_search(mode="p2", weight_bound=12, order=40, seed=0)
         assert again.polynomial.terms == result.polynomial.terms
 
     def test_kills_actual_b_quantities(self, result):
@@ -126,14 +124,19 @@ class TestRelationSearch:
     def test_p1_empty_through_low_weights(self):
         # the A-side has no relation in the strata the B-side already
         # fills; scan a cheap prefix to document that
-        res = relation_search(mode="p1", weight_bound=7, order=24,
-                              trials=2, seed=0)
+        res = relation_search(mode="p1", weight_bound=7, order=24, seed=0)
         assert not res.found
         assert set(res.weights_scanned) == set(range(2, 8))
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             relation_search(mode="p3")
+
+    @pytest.mark.parametrize("bound", [1, 0, -3])
+    def test_weight_bound_below_two(self, bound):
+        # quasi-weights start at 2: such a bound would scan nothing
+        with pytest.raises(ValueError, match="weight bound"):
+            relation_search(mode="p2", weight_bound=bound)
 
 
 class TestYukawaSideSanity:
