@@ -14,7 +14,7 @@ from .golden import golden_report
 from .mirror import mirror_data, verify_hodge_identity
 from .relations import (relation_search, verify_duality, verify_eq_fourth,
                         verify_eq_schwarzian, verify_eq_second)
-from .series import LogSeries, series_from_record, series_to_record
+from .series import series_from_record, series_to_record
 from .wronskian import IndeterminateWronskian, wronskian
 from .yukawa import (evaluate_F0_at, instanton_numbers, integrality_suite,
                      prepotential, verify_pandharipande,
@@ -162,14 +162,8 @@ def wronskian_cmd(path, fmt, out):
     except IndeterminateWronskian as exc:
         _emit({"status": "indeterminate", "detail": str(exc)}, fmt, out)
         sys.exit(1)
-    if isinstance(w, LogSeries):
-        try:
-            data = series_to_record(w.power_part())
-        except ValueError:
-            data = {"parts": [series_to_record(p) for p in w.parts]}
-    else:
-        data = series_to_record(w)
-    _emit(data, fmt, out)
+    # wire records carry no logs, so w is a log-free LogSeries
+    _emit(series_to_record(w.power_part()), fmt, out)
 
 
 @main.command("search-relation")

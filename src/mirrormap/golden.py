@@ -8,7 +8,6 @@ A requested order below a table's reach yields "partial", never "fail".
 from __future__ import annotations
 
 from .mirror import mirror_data
-from .operators import g_functions
 from .series import Q, rat
 from .yukawa import instanton_numbers, yukawa_coupling
 
@@ -86,18 +85,11 @@ def golden_report(order: int = 24, tables=None):
     for s in (3, 4, 5):
         key = f"s{s}"
         md = mirror_data(s, max(order + 1, 8))
-        gs = g_functions(s, max(order + 1, 8))
         for name, table in tables[key].items():
-            if name == "q_of_z":
-                computed = md.q_of_z
-            elif name == "z_of_q":
-                computed = md.z_of_q
-            elif name == "f0_tilde":
-                computed = md.f0_tilde
-            elif name.startswith("g"):
-                computed = gs[int(name[1:])]
-            else:
-                raise KeyError(name)
+            # "g<m>" names a Frobenius component, anything else a series
+            # of the bundle
+            computed = (md.g[int(name[1:])] if name.startswith("g")
+                        else getattr(md, name))
             items.append(_compare(f"{key}.{name}", computed, table, order))
     K = yukawa_coupling(max(order + 1, 8))
     items.append(_compare("yukawa.K", K, tables["yukawa"]["K"], order))

@@ -15,13 +15,15 @@ class MirrorData:
 
     q_of_z has valuation 1 in z; z_of_q is its compositional inverse,
     valuation 1 in q with unit leading coefficient; f0_tilde is the
-    analytic solution pulled back through z(q).
+    analytic solution pulled back through z(q); g holds the analytic
+    Frobenius components g_0..g_{s-2} in z.
     """
     s: int
     order: int
     q_of_z: PowerSeries
     z_of_q: PowerSeries
     f0_tilde: PowerSeries
+    g: tuple
 
 
 def mirror_pipeline(s: int, order: int) -> MirrorData:
@@ -37,7 +39,7 @@ def mirror_pipeline(s: int, order: int) -> MirrorData:
     z_of_q = q_of_z.revert("q")
     f0_tilde = g0.compose(z_of_q)
     return MirrorData(s=s, order=order, q_of_z=q_of_z, z_of_q=z_of_q,
-                      f0_tilde=f0_tilde)
+                      f0_tilde=f0_tilde, g=tuple(gs))
 
 
 @lru_cache(maxsize=32)

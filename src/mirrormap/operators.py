@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .series import BIG_ORDER, LogSeries, PowerSeries, Q, ZERO, ONE, rat
+from .series import (BIG_ORDER, LogSeries, PowerSeries, Q, ZERO, ONE,
+                     ladder, rat)
 
 
 def poly(coeffs) -> PowerSeries:
@@ -142,14 +143,10 @@ class DeltaOperator:
         if isinstance(f, PowerSeries):
             f = LogSeries.from_power(f)
         acc = None
-        dk = f
-        for k, c in enumerate(self.coeffs):
-            if k > 0:
-                dk = dk.euler()
-            if c.is_zero():
-                continue
-            term = dk * c
-            acc = term if acc is None else acc + term
+        for c, dk in zip(self.coeffs, ladder(f, self.degree)):
+            if not c.is_zero():
+                term = dk * c
+                acc = term if acc is None else acc + term
         return acc
 
     def to_dz(self):
@@ -309,10 +306,7 @@ def fourth_order_normal_form(op: DeltaOperator):
     a2 = RationalFunction(b[2]) / lead
     a3 = RationalFunction(b[1]) / lead
     a4 = RationalFunction(b[0]) / lead
-    u = a1 * Q(-1, 4)
-    u1 = u.deriv()
-    u2 = u1.deriv()
-    u3 = u2.deriv()
+    u, u1, u2, u3 = ladder(a1 * Q(-1, 4), 3, RationalFunction.deriv)
     q2 = 6 * u1 + 6 * u * u + 3 * a1 * u + a2
     q1 = (4 * u2 + 12 * u * u1 + 4 * u * u * u
           + a1 * (3 * u1 + 3 * u * u) + 2 * a2 * u + a3)

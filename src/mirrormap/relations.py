@@ -4,7 +4,6 @@ quasi-homogeneous differential-polynomial relation search."""
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -14,8 +13,9 @@ from .mirror import mirror_data
 from .operators import (RationalFunction, eighth_operator,
                         fourth_order_normal_form, mirror_operator, poly,
                         second_order_normal_form)
-from .series import PowerSeries, Q, rat
-from .wronskian import DiffPolynomial, schwarzian
+from .series import PowerSeries, Q, ladder, rat
+from .wronskian import (DiffPolynomial, coefficient_rows, monomial_value,
+                        schwarzian)
 from .yukawa import yukawa_coupling
 
 C5 = 5 ** 5  # the natural scale of the quintic family's singular point
@@ -45,21 +45,13 @@ def quintic_normal_form():
     return fourth_order_normal_form(mirror_operator(5))
 
 
-def euler_ladder(f: PowerSeries, count: int):
-    """[f, f', ..., f^(count)] with ' = delta_q."""
-    out = [f]
-    for _ in range(count):
-        out.append(out[-1].euler())
-    return out
-
-
 def log_yukawa_derivs(K: PowerSeries, count: int):
     """[u', u'', ...] for u = log K with ' = delta_q.
 
     u itself is never materialized (its constant term log K(0) is not
     rational); only the derivatives, starting from u' = K'/K, are.
     """
-    return euler_ladder(K.euler() / K, count - 1)
+    return ladder(K.euler() / K, count - 1)
 
 
 def b_quantities(u_derivs):
@@ -74,13 +66,13 @@ def b_quantities(u_derivs):
 def a_quantities(z: PowerSeries, q2: RationalFunction, q0: RationalFunction):
     """A2 = Q2(z)z'^2 + 5{z,t} and the fourth-order companion A4,
     with ' = d/dt = delta_q acting on a series z(q) of valuation 1."""
-    _, z1, z2, z3, z4, z5 = euler_ladder(z, 5)
-    a2 = q2.eval_series(z) * z1 * z1 + 5 * schwarzian(z)
-    dq2 = q2.deriv()
+    _, z1, z2, z3, z4, z5 = ladder(z, 5)
+    q2z = q2.eval_series(z)
+    a2 = q2z * z1 * z1 + 5 * schwarzian(z)
     a4 = (q0.eval_series(z) * z1 ** 4
-          + Q(3, 2) * dq2.eval_series(z) * z1 * z1 * z2
-          - Q(3, 4) * q2.eval_series(z) * z2 * z2
-          + Q(3, 2) * q2.eval_series(z) * z1 * z3
+          + Q(3, 2) * q2.deriv().eval_series(z) * z1 * z1 * z2
+          - Q(3, 4) * q2z * z2 * z2
+          + Q(3, 2) * q2z * z1 * z3
           # the (z''/z')^4 constant is pinned empirically as -135/16: it
           # is the unique value making A4 agree with B4(log K) on the
           # actual mirror map (checked to high order, nullity-one fit)
@@ -165,7 +157,7 @@ def verify_eq_fourth(order: int) -> PowerSeries:
     """Residual of Qtilde(z)(z'/z)^4 =
     (175K'^4 - 280KK'^2K'' + 49K^2K''^2 + 70K^2K'K''' - 10K^3K'''')/K^4."""
     z, K = _quintic_pair(order)
-    _, k1, k2, k3, k4 = euler_ladder(K, 4)
+    _, k1, k2, k3, k4 = ladder(K, 4)
     lhs = rational_q_tilde().eval_series(z) * (z.euler() / z) ** 4
     num = (175 * k1 ** 4 - 280 * K * k1 * k1 * k2
            + 49 * K * K * k2 * k2 + 70 * K * K * k1 * k3
@@ -190,7 +182,6 @@ class RelationSearchResult:
     found: bool
     weights_scanned: tuple
     seed: int
-    elapsed: float
     weight: int | None = None
     polynomial: DiffPolynomial | None = None
     stratum_size: int | None = None
@@ -204,7 +195,6 @@ class RelationSearchResult:
             "found": self.found,
             "weights_scanned": list(self.weights_scanned),
             "seed": self.seed,
-            "elapsed_seconds": round(self.elapsed, 3),
         }
         if self.found:
             out.update({
@@ -251,14 +241,14 @@ def _random_series(rng: random.Random, order: int,
 
 def _symbol_ladder(base2: PowerSeries, base4: PowerSeries):
     """The ten series the symbols stand for, from their two bases."""
-    return euler_ladder(base2, 5) + euler_ladder(base4, 3)
+    return ladder(base2, 5) + ladder(base4, 3)
 
 
 #: mode -> (symbols, the two bases on one native input u = log K or z, whether
 #: that input needs a nonzero q^1 coefficient, the two bases of the dual side:
 #: the actual mirror map for p2, the actual log-Yukawa coupling for p1).
 _SEARCH_MODES = {
-    "p2": (P2_SYMBOLS, lambda u: b_quantities(euler_ladder(u.euler(), 3)),
+    "p2": (P2_SYMBOLS, lambda u: b_quantities(ladder(u.euler(), 3)),
            False, lambda ab: (ab.A2, ab.A4)),
     "p1": (P1_SYMBOLS, lambda z: a_quantities(z, *quintic_normal_form()),
            True, lambda ab: (ab.B2, ab.B4)),
@@ -266,21 +256,12 @@ _SEARCH_MODES = {
 
 
 def _stack_rows(monos, value_sets):
+    """The coefficient rows of the monomials on every (values, memo) pair;
+    each memo keeps the monomials of its values across strata."""
     rows = []
-    for values in value_sets:
-        evals = []
-        lo, hi = None, None
-        for exps in monos:
-            acc = PowerSeries.monomial("q", 0, 1)
-            for v, e in zip(values, exps):
-                for _ in range(e):
-                    acc = acc * v
-            evals.append(acc)
-            lo = acc.val if lo is None else min(lo, acc.val)
-            hi = acc.order if hi is None else min(hi, acc.order)
-        for n in range(lo, hi):
-            rows.append([s.coeff(n) if s.val <= n < s.order else rat(0)
-                         for s in evals])
+    for values, memo in value_sets:
+        rows += coefficient_rows([monomial_value(e, values, memo)
+                                  for e in monos])
     return rows
 
 
@@ -303,7 +284,6 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
     rows than columns. The lowest quasi-weight is 2, so a ``weight_bound``
     below 2 scans nothing and is refused.
     """
-    start = time.perf_counter()
     if mode not in _SEARCH_MODES:
         raise ValueError(f"unknown search mode {mode!r}")
     if weight_bound < 2:
@@ -316,7 +296,7 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
         return _symbol_ladder(*bases(_random_series(rng, order,
                                                     nonzero_lead)))
 
-    value_sets = [symbol_values(), symbol_values()]
+    value_sets = [(symbol_values(), {}), (symbol_values(), {})]
     scanned, found = [], {}
     for weight in range(2, weight_bound + 1):
         monos = _monomials(SEARCH_WEIGHTS, weight)
@@ -324,7 +304,7 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
             continue
         scanned.append(weight)
         while len(value_sets) * (order - 1) < len(monos) + 10:
-            value_sets.append(symbol_values())
+            value_sets.append((symbol_values(), {}))
         basis = nullspace(_stack_rows(monos, value_sets), len(monos))
         if not basis:
             continue
@@ -343,4 +323,4 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
         break
     return RelationSearchResult(
         mode=mode, found=bool(found), weights_scanned=tuple(scanned),
-        seed=seed, elapsed=time.perf_counter() - start, **found)
+        seed=seed, **found)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from math import comb, isqrt, lcm
-from operator import mul
+from operator import methodcaller, mul
 
 try:
     from gmpy2 import mpq as Q
@@ -562,6 +562,15 @@ class LogSeries:
         parts = [self.part(j).deriv() + self.part(j + 1).shift(-1)
                  for j in range(len(self.parts))]
         return LogSeries(parts)
+
+
+def ladder(f, count, step=methodcaller("euler")):
+    """[f, step f, ..., step^count f]; ``step`` defaults to the Euler
+    derivation x d/dx."""
+    out = [f]
+    for _ in range(count):
+        out.append(step(out[-1]))
+    return out
 
 
 # -- serialization ---------------------------------------------------------

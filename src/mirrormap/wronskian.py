@@ -6,7 +6,7 @@ from itertools import combinations
 from math import comb
 
 from .linalg import nullspace
-from .series import LogSeries, PowerSeries, Q, rat
+from .series import LogSeries, PowerSeries, Q, ladder, rat
 
 
 class IndeterminateWronskian(Exception):
@@ -33,12 +33,9 @@ def _det(matrix):
     return acc
 
 
-def coefficient_dependence(fs):
-    """Exact rational dependence among the series over their known window.
-
-    Stacks every log-part coefficient of each series into a vector and
-    returns a nullspace basis (empty list = independent to the order).
-    """
+def coefficient_rows(fs):
+    """One row per exponent and log part of the series' common known
+    window, holding that coefficient of each series in turn."""
     fs = [_as_log(f) for f in fs]
     deg = max(f.log_degree for f in fs)
     order = min(f.order for f in fs)
@@ -53,7 +50,14 @@ def coefficient_dependence(fs):
         for j in range(deg + 1):
             rows.append([f.part(j).coeff(n) if n < f.part(j).order else 0
                          for f in fs])
-    return nullspace(rows, len(fs))
+    return rows
+
+
+def coefficient_dependence(fs):
+    """Exact rational dependence among the series over their known window:
+    a nullspace basis of their coefficient rows (empty list = independent
+    to the order)."""
+    return nullspace(coefficient_rows(fs), len(fs))
 
 
 def wronskian(fs, decide=True):
@@ -65,13 +69,8 @@ def wronskian(fs, decide=True):
     a theorem).
     """
     fs = [_as_log(f) for f in fs]
-    m = len(fs)
-    rows = []
-    cur = fs
-    for _ in range(m):
-        rows.append(cur)
-        cur = [f.deriv() for f in cur]
-    w = _det([list(r) for r in rows])
+    towers = [ladder(f, len(fs) - 1, LogSeries.deriv) for f in fs]
+    w = _det(list(zip(*towers)))
     if decide and w.is_zero():
         if not coefficient_dependence(fs):
             raise IndeterminateWronskian(
@@ -79,28 +78,27 @@ def wronskian(fs, decide=True):
     return w
 
 
-def schwarzian(f: PowerSeries) -> PowerSeries:
-    """{f, t} = f'''/f' - (3/2)(f''/f')^2 with ' = delta_q (t = log q)."""
-    f1 = f.euler()
-    f2 = f1.euler()
-    f3 = f2.euler()
+def _schwarzian(f1, step):
+    """f'''/f' - (3/2)(f''/f')^2 from f' and the derivation ' = step."""
+    _, f2, f3 = ladder(f1, 2, step)
     r = f2 / f1
     return f3 / f1 - Q(3, 2) * (r * r)
+
+
+def schwarzian(f: PowerSeries) -> PowerSeries:
+    """{f, t} with ' = delta_q (t = log q)."""
+    return _schwarzian(f.euler(), PowerSeries.euler)
+
+
+def _dz(f) -> PowerSeries:
+    """d/dz of a series whose logs die under differentiation."""
+    return _as_log(f).deriv().power_part()
 
 
 def schwarzian_dz(f) -> PowerSeries:
     """Schwarzian with plain d/dz derivatives (f may be a LogSeries whose
     logs die under differentiation, e.g. f_1/f_0)."""
-    f1 = f.deriv()
-    if isinstance(f1, LogSeries):
-        f1 = f1.power_part()
-        f2 = _as_log(f1).deriv().power_part()
-        f3 = _as_log(f2).deriv().power_part()
-    else:
-        f2 = f1.deriv()
-        f3 = f2.deriv()
-    r = f2 / f1
-    return f3 / f1 - Q(3, 2) * (r * r)
+    return _schwarzian(_dz(f), _dz)
 
 
 class DiffPolynomial:
@@ -157,10 +155,6 @@ class DiffPolynomial:
 
     __rmul__ = __mul__
 
-    def scale(self, c):
-        return DiffPolynomial(self.symbols, self.weights,
-                              {e: v * c for e, v in self.terms.items()})
-
     def map_coeffs(self, fn):
         return DiffPolynomial(self.symbols, self.weights,
                               {e: fn(c) for e, c in self.terms.items()})
@@ -182,12 +176,9 @@ class DiffPolynomial:
 
     def evaluate(self, values):
         """Substitute a value per symbol; values must support + and *."""
-        acc = None
+        acc, memo = None, {}
         for e, c in self.terms.items():
-            term = c
-            for v, ex in zip(values, e):
-                for _ in range(ex):
-                    term = term * v
+            term = c * monomial_value(e, values, memo) if any(e) else c
             acc = term if acc is None else acc + term
         return acc
 
@@ -209,6 +200,24 @@ class DiffPolynomial:
                             for s, x in zip(self.symbols, e) if x)
             bits.append(f"({c})*{mono or '1'}")
         return " + ".join(bits) or "0"
+
+
+def monomial_value(exps, values, memo):
+    """prod values[i]^exps[i] for a nonconstant monomial.
+
+    ``memo`` maps exponent tuples to values already formed from the same
+    ``values``; a new monomial is its parent (the last nonzero exponent
+    lowered by one) times one value, so each costs one product.
+    """
+    value = memo.get(exps)
+    if value is None:
+        i = max(k for k, e in enumerate(exps) if e)
+        parent = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+        value = values[i]
+        if any(parent):
+            value = monomial_value(parent, values, memo) * value
+        memo[exps] = value
+    return value
 
 
 def _coeff_zero(c):
@@ -236,12 +245,7 @@ def r_operator(basis):
     nsym = 2 * m - 1
     symbols = tuple(f"t{l}" for l in range(1, nsym + 1))
     weights = tuple(range(1, nsym + 1))
-    derivs = []
-    for f in basis:
-        d = [f]
-        for _ in range(nsym):
-            d.append(d[-1].deriv())
-        derivs.append(d)
+    derivs = [ladder(f, nsym, LogSeries.deriv) for f in basis]
 
     def sym_entry(k, j):
         entry = DiffPolynomial.zero(symbols, weights)
@@ -281,10 +285,5 @@ def r_operator(basis):
 
 def r_substitute(rt: DiffPolynomial, t):
     """Evaluate R[t] at a concrete ratio t(z): symbols become d^l t/dz^l."""
-    t = _as_log(t)
-    values = []
-    cur = t
-    for _ in range(len(rt.symbols)):
-        cur = cur.deriv()
-        values.append(cur)
+    values = ladder(_as_log(t), len(rt.symbols), LogSeries.deriv)[1:]
     return rt.evaluate(values)

@@ -6,8 +6,11 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from mirrormap import operators
 from mirrormap.cli import main
 from mirrormap.golden import GOLDEN_TABLES, golden_report
+from mirrormap.mirror import mirror_data
+from mirrormap.yukawa import yukawa_coupling
 
 
 @pytest.fixture
@@ -123,6 +126,17 @@ class TestGolden:
         assert res.exit_code == 0
         items = json.loads(res.output)["items"]
         assert all(it["status"] == "pass" for it in items)
+
+    def test_reads_frobenius_components_from_the_bundle(self, monkeypatch):
+        # one Frobenius basis per s, made by the mirror pipeline
+        calls = []
+        real = operators.frobenius_basis
+        monkeypatch.setattr(operators, "frobenius_basis",
+                            lambda s, order: calls.append(s) or real(s, order))
+        mirror_data.cache_clear()
+        yukawa_coupling.cache_clear()
+        golden_report(24)
+        assert calls == [3, 4, 5]
 
     def test_corrupted_table_fails(self):
         tables = copy.deepcopy(GOLDEN_TABLES)
@@ -240,6 +254,23 @@ class TestSearchRelation:
         assert "--weight-bound" in res.output
 
 
+class TestTextFormat:
+    def test_dict_of_lists(self, runner):
+        res = runner.invoke(main, ["instantons", "--count", "2"])
+        assert res.exit_code == 0
+        assert res.output == ("n:\n  - 2875\n  - 609250\n"
+                              "N:\n  - 2875\n  - 4876875/8\n")
+
+    def test_list_of_dicts(self, runner):
+        res = runner.invoke(main, ["verify", "integrality", "--order", "8"])
+        assert res.exit_code == 0
+        names = [f"s{s}.{n}" for s in (3, 4, 5)
+                 for n in ("z_of_q", "q_of_z/z", "f0_tilde")] + ["K/5"]
+        assert res.output == (
+            "check: integrality\norder: 8\npass: True\nitems:\n"
+            + "".join(f"    item: {n}\n    pass: True\n  -\n" for n in names))
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, runner):
         args = ["mirror", "--s", "5", "--order", "12", "--format", "json"]
@@ -250,10 +281,6 @@ class TestDeterminism:
     def test_search_byte_identical(self, runner):
         args = ["search-relation", "--weight-bound", "12", "--order", "40",
                 "--format", "json"]
-        outs = set()
-        for _ in range(2):
-            res = runner.invoke(main, args)
-            data = json.loads(res.output)
-            data.pop("elapsed_seconds")
-            outs.add(json.dumps(data, sort_keys=True))
-        assert len(outs) == 1
+        first, second = (runner.invoke(main, args) for _ in range(2))
+        assert first.exit_code == second.exit_code == 0
+        assert first.output == second.output

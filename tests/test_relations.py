@@ -1,5 +1,7 @@
 """Coupled nonlinear identities and the quasi-homogeneous relation search."""
 
+from operator import mul
+
 import pytest
 
 from mirrormap import mirror, relations, yukawa
@@ -137,6 +139,42 @@ class TestRelationSearch:
         # quasi-weights start at 2: such a bound would scan nothing
         with pytest.raises(ValueError, match="weight bound"):
             relation_search(mode="p2", weight_bound=bound)
+
+
+def test_stacking_forms_each_monomial_once(monkeypatch):
+    """Row stacking makes at most one series product per monomial of
+    degree >= 2 and value set: a monomial extends its parent, which has a
+    lower weight, and each value set keeps its monomials across strata."""
+    products, stacking, largest = 0, False, {}
+    real_mul, real_stack = PowerSeries.__mul__, relations._stack_rows
+
+    def counted(self, other):
+        nonlocal products
+        if stacking and isinstance(other, PowerSeries):
+            products += 1
+        return real_mul(self, other)
+
+    def stack(monos, value_sets):
+        nonlocal stacking
+        weight = sum(map(mul, relations.SEARCH_WEIGHTS, monos[0]))
+        for values, _ in value_sets:
+            largest[id(values)] = weight
+        stacking = True
+        try:
+            return real_stack(monos, value_sets)
+        finally:
+            stacking = False
+
+    monkeypatch.setattr(PowerSeries, "__mul__", counted)
+    monkeypatch.setattr(PowerSeries, "__rmul__", counted)
+    monkeypatch.setattr(relations, "_stack_rows", stack)
+    relation_search(mode="p2", weight_bound=12, seed=0)
+
+    def products_through(weight):
+        return sum(sum(e) > 1 for w in range(2, weight + 1)
+                   for e in relations._monomials(relations.SEARCH_WEIGHTS, w))
+
+    assert 0 < products <= sum(map(products_through, largest.values()))
 
 
 class TestYukawaSideSanity:

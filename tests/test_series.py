@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrormap.series import (BIG_ORDER, LogSeries, PowerSeries, Q,
-                              TruncationError, VariableMismatch, rat,
+                              TruncationError, VariableMismatch, ladder, rat,
                               series_from_record, series_to_record)
 
 
@@ -145,6 +145,13 @@ class TestEulerDeriv:
     def test_deriv_shifts_exponent(self):
         f = ps([0, 0, 5], order=6)
         assert f.deriv().coeff(1) == 10
+
+    def test_ladder(self):
+        f = PowerSeries.monomial("z", 2, 1, order=6)
+        assert [g.coeff(2) for g in ladder(f, 3)] == [1, 2, 4, 8]
+        tower = ladder(f, 2, PowerSeries.deriv)
+        assert [(g.val, g.coeffs[0], g.order) for g in tower] == \
+            [(2, 1, 6), (1, 2, 5), (0, 2, 4)]
 
 
 class TestLogSeries:

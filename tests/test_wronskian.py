@@ -7,9 +7,9 @@ from mirrormap.operators import frobenius_basis, second_order_normal_form, \
     mirror_operator
 from mirrormap.series import BIG_ORDER, LogSeries, PowerSeries, Q, rat
 from mirrormap.wronskian import (DiffPolynomial, IndeterminateWronskian,
-                                 coefficient_dependence, r_operator,
-                                 r_substitute, schwarzian, schwarzian_dz,
-                                 wronskian)
+                                 coefficient_dependence, monomial_value,
+                                 r_operator, r_substitute, schwarzian,
+                                 schwarzian_dz, wronskian)
 
 
 def ps(coeffs, val=0, order=None, var="z"):
@@ -160,10 +160,18 @@ class TestDiffPolynomial:
     def test_arithmetic_and_weights(self):
         p = DiffPolynomial.monomial(self.SYM, self.WTS, (1, 0), rat(2))
         q = DiffPolynomial.monomial(self.SYM, self.WTS, (0, 1), rat(-1))
-        r = p * p * q + q.scale(rat(5))
+        r = p * p * q + q * rat(5)
         assert r.monomial_weight((2, 1)) == 7
         assert r.degree_set() == [1, 3]
         assert not r.is_quasi_homogeneous()
+
+    def test_monomial_value_extends_its_parent(self):
+        memo = {}
+        assert monomial_value((2, 1), [rat(2), rat(3)], memo) == 12
+        assert memo == {(1, 0): 2, (2, 0): 4, (2, 1): 12}
+        # a memo hit is returned as stored, not recomputed
+        memo[(2, 0)] = rat(5)
+        assert monomial_value((3, 0), [rat(2), rat(3)], memo) == 10
 
     def test_evaluate(self):
         p = DiffPolynomial(self.SYM, self.WTS,
