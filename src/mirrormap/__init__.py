@@ -4,8 +4,7 @@ and the nonlinear differential identities that couple them."""
 from .series import (LogSeries, PowerSeries, Q, TruncationError,
                      VariableMismatch, rat, series_from_record,
                      series_to_record)
-from .operators import (DeltaOperator, RationalFunction,
-                        build_operator, eighth_operator,
+from .operators import (DeltaOperator, RationalFunction, eighth_operator,
                         fourth_order_normal_form, frobenius_basis,
                         g_functions, mirror_operator, pfq_series,
                         second_order_normal_form, symmetric_square_check)
@@ -28,9 +27,9 @@ __version__ = "0.1.0"
 __all__ = [
     "LogSeries", "PowerSeries", "Q", "TruncationError",
     "VariableMismatch", "rat", "series_from_record", "series_to_record",
-    "DeltaOperator", "RationalFunction", "build_operator",
-    "eighth_operator", "fourth_order_normal_form", "frobenius_basis",
-    "g_functions", "mirror_operator", "pfq_series",
+    "DeltaOperator", "RationalFunction", "eighth_operator",
+    "fourth_order_normal_form", "frobenius_basis", "g_functions",
+    "mirror_operator", "pfq_series",
     "second_order_normal_form", "symmetric_square_check",
     "MirrorData", "integrality_report", "mirror_data", "mirror_pipeline",
     "verify_hodge_identity",

@@ -64,9 +64,9 @@ def _common(fn):
     return fn
 
 
-def _check_order(order, minimum=8):
-    if order < minimum:
-        raise click.UsageError(f"--order must be at least {minimum}")
+def _order(default, minimum=8):
+    return click.option("--order", type=click.IntRange(min=minimum),
+                        default=default, show_default=True)
 
 
 @click.group()
@@ -75,48 +75,43 @@ def main():
 
 
 @main.command()
-@click.option("--s", "s", type=int, default=5, show_default=True)
-@click.option("--order", type=int, default=64, show_default=True)
+@click.option("--s", "s", type=click.IntRange(min=3), default=5,
+              show_default=True)
+@_order(64)
 @click.option("--emit", type=click.Choice(["z_of_q", "q_of_z", "f0_tilde"]),
               default="z_of_q", show_default=True)
 @_common
 def mirror(s, order, emit, fmt, out):
     """Emit one series of the mirror-map bundle for the given s."""
-    if s < 3:
-        raise click.UsageError("--s must be at least 3")
-    _check_order(order)
     md = mirror_data(s, order)
     _emit({"s": s, "series": emit,
            **series_to_record(getattr(md, emit).truncate(order))}, fmt, out)
 
 
 @main.command()
-@click.option("--order", type=int, default=24, show_default=True)
+@_order(24)
 @_common
 def yukawa(order, fmt, out):
     """Emit the Yukawa coupling K(q)."""
-    _check_order(order)
     _emit(series_to_record(yukawa_coupling(order)), fmt, out)
 
 
 @main.command()
-@click.option("--count", type=int, default=10, show_default=True)
+@click.option("--count", type=click.IntRange(min=1), default=10,
+              show_default=True)
 @_common
 def instantons(count, fmt, out):
     """Emit the instanton numbers n_1..n_count."""
-    if count < 1:
-        raise click.UsageError("--count must be positive")
     table = instanton_numbers(yukawa_coupling(count + 2), count)
     _emit({"n": [str(x) for x in table.n],
            "N": [str(x) for x in table.N]}, fmt, out)
 
 
 @main.command("prepotential")
-@click.option("--order", type=int, default=16, show_default=True)
+@_order(16)
 @_common
 def prepotential_cmd(order, fmt, out):
     """Emit the prepotential as a polynomial in t with q-series parts."""
-    _check_order(order)
     F = prepotential(order)
     _emit({"t_powers": [series_to_record(F.part(k) / math.factorial(k))
                         for k in range(F.log_degree + 1)]}, fmt, out)
@@ -124,11 +119,10 @@ def prepotential_cmd(order, fmt, out):
 
 @main.command("eval-f0")
 @click.option("--t", "t_value", type=float, required=True)
-@click.option("--order", type=int, default=12, show_default=True)
+@_order(12)
 @_common
 def eval_f0(t_value, order, fmt, out):
     """Evaluate the cubic Eisenstein-style potential at a real t < 0."""
-    _check_order(order)
     if not math.isfinite(t_value):
         raise click.UsageError("--t must be a finite number")
     try:
@@ -141,15 +135,19 @@ def eval_f0(t_value, order, fmt, out):
 
 @main.command("wronskian")
 @click.option("--input", "path", type=click.Path(exists=True, dir_okay=False),
-              required=True, help="File with a list of series records.")
+              required=True, help="File with one series record or a list of them.")
 @_common
 def wronskian_cmd(path, fmt, out):
     """Wronskian determinant of the series in the input file."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        records = payload.get("series") if isinstance(payload, dict) \
-            else payload
+        records = payload
+        if isinstance(payload, dict):
+            # a "series" list is the wrapper; any other object is one
+            # record, such as the one ``mirror --format json`` prints
+            wrapped = payload.get("series")
+            records = wrapped if isinstance(wrapped, list) else [payload]
         if not isinstance(records, list) or not records:
             raise ValueError("input contains no series")
         fs = [series_from_record(rec) for rec in records]
@@ -171,12 +169,11 @@ def wronskian_cmd(path, fmt, out):
               show_default=True)
 @click.option("--weight-bound", type=click.IntRange(min=2), default=12,
               show_default=True)
-@click.option("--order", type=int, default=40, show_default=True)
+@_order(40, 16)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_common
 def search_relation(mode, weight_bound, order, seed, fmt, out):
     """Scan quasi-weight strata for an identically-vanishing relation."""
-    _check_order(order, 16)
     result = relation_search(mode=mode, weight_bound=weight_bound,
                              order=order, seed=seed)
     _emit(result.summary(), fmt, out)
@@ -185,11 +182,10 @@ def search_relation(mode, weight_bound, order, seed, fmt, out):
 
 
 @main.command()
-@click.option("--order", type=int, default=24, show_default=True)
+@_order(24, 24)
 @_common
 def golden(order, fmt, out):
     """Compare computed series against the embedded golden tables."""
-    _check_order(order, 24)
     report = golden_report(order)
     _emit({"items": report}, fmt, out)
     if any(item["status"] == "fail" for item in report):
@@ -229,7 +225,6 @@ def _vanish(residuals):
 
 def _residual_command(name, help_text, default_order, s_choices, residuals):
     def command(order, fmt, out, s=None):
-        _check_order(order)
         s = s and int(s)
         ok = _vanish(residuals(order, s))
         data = {"check": name, "order": order, "pass": ok}
@@ -239,8 +234,7 @@ def _residual_command(name, help_text, default_order, s_choices, residuals):
         if not ok:
             sys.exit(1)
 
-    command = click.option("--order", type=int, default=default_order,
-                           show_default=True)(_common(command))
+    command = _order(default_order)(_common(command))
     if s_choices:
         command = click.option("--s", "s", required=True, type=click.Choice(
             [str(v) for v in s_choices]))(command)
@@ -252,11 +246,10 @@ for _check in RESIDUAL_CHECKS:
 
 
 @verify.command()
-@click.option("--order", type=int, default=100, show_default=True)
+@_order(100)
 @_common
 def integrality(order, fmt, out):
     """Integer coefficients of the mirror maps and K/5."""
-    _check_order(order)
     items = integrality_suite(order)
     ok = all(item["pass"] for item in items)
     _emit({"check": "integrality", "order": order, "pass": ok,
@@ -266,11 +259,10 @@ def integrality(order, fmt, out):
 
 
 @verify.command("all")
-@click.option("--order", type=int, default=24, show_default=True)
+@_order(24)
 @_common
 def verify_all(order, fmt, out):
     """Run every verification plus the golden suite."""
-    _check_order(order)
     checks = []
     for name, _, _, s_choices, residuals, max_order in RESIDUAL_CHECKS:
         run_order = min(order, max_order or order)

@@ -1,72 +1,60 @@
-"""Exact linear algebra: fraction-free echelon form and nullspaces."""
+"""Exact linear algebra: integer nullspaces by fraction-free elimination."""
 
 from __future__ import annotations
 
-from .series import Q, ZERO, _integer_window, rat
+from math import gcd
+from operator import mul
 
-
-def _to_int_rows(rows):
-    return [_integer_window(row)[0] for row in rows]
-
-
-def row_echelon(rows):
-    """Fraction-free (Bareiss) row echelon form over the integers.
-
-    Returns (echelon_rows, pivot_cols); input rows are rationals.
-    """
-    m = _to_int_rows(rows)
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    piv_cols = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, len(m)):
-            if all(x == 0 for x in m[i]):
-                continue
-            mic = m[i][c]
-            mrc = m[r][c]
-            for j in range(ncols):
-                m[i][j] = (m[i][j] * mrc - mic * m[r][j]) // prev
-        prev = m[r][c]
-        piv_cols.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], piv_cols
+from .series import _integer_window
 
 
 def nullspace(rows, ncols=None):
-    """Basis of the exact rational nullspace of the row matrix.
+    """Basis of the exact nullspace of the rational row matrix.
 
-    Each basis vector has one free coordinate set to 1 (back substitution
-    through the fraction-free echelon form). With no rows every vector of
-    the ``ncols``-dimensional space is in the nullspace.
+    Each row is scaled to integers and brought to echelon form by
+    fraction-free (Bareiss) elimination; back substitution stays in the
+    integers. There is one basis vector per free column: it is primitive,
+    its own free coordinate is positive and the other free coordinates are
+    zero. With no rows every vector of the ``ncols``-dimensional space is
+    in the nullspace.
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    ech, piv_cols = row_echelon(rows)
-    piv_set = set(piv_cols)
-    free_cols = [c for c in range(ncols) if c not in piv_set]
+    m = [_integer_window(row)[0] for row in rows]
+    pivots = []  # (column, echelon row)
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        top = m[r]
+        p = top[c]
+        for i in range(r + 1, len(m)):
+            row = m[i]
+            if any(row):
+                a = row[c]
+                # Sylvester's identity makes the division exact
+                m[i] = [(u * p - a * v) // prev for u, v in zip(row, top)]
+        prev = p
+        pivots.append((c, top))
+    pivot_cols = {c for c, _ in pivots}
     basis = []
-    for fc in free_cols:
-        x = [ZERO] * ncols
-        x[fc] = Q(1)
-        for i in range(len(piv_cols) - 1, -1, -1):
-            p = piv_cols[i]
-            acc = ZERO
-            for j in range(p + 1, ncols):
-                if ech[i][j] != 0 and x[j] != 0:
-                    acc += rat(ech[i][j]) * x[j]
-            x[p] = -acc / ech[i][p]
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        x = [0] * ncols
+        x[free] = 1
+        for c, row in reversed(pivots):
+            # row is zero left of c, and x is still zero at c and at every
+            # pivot left of it: solve row . x = 0 for x[c] after scaling x
+            # by the least factor that keeps it integral, which also keeps
+            # it primitive
+            acc = sum(map(mul, row, x))
+            g = gcd(acc, row[c])
+            scale = abs(row[c]) // g
+            x = [v * scale for v in x]
+            x[c] = -acc // g if row[c] > 0 else acc // g
         basis.append(x)
     return basis

@@ -197,22 +197,6 @@ def eighth_operator() -> DeltaOperator:
     return DeltaOperator([[0, -12], [0, -128], [1, -256]])
 
 
-def build_operator(kind: str, s: int | None = None) -> DeltaOperator:
-    """Named operators: mirror(s), eq1 = mirror(3), eq4 = mirror(4),
-    eq20 = mirror(5), and the second-order 'eighth' operator."""
-    kind = kind.lower()
-    if kind == "mirror":
-        if s is None:
-            raise ValueError("mirror operator needs s")
-        return mirror_operator(s)
-    named = {"eq1": 3, "eq4": 4, "eq20": 5}
-    if kind in named:
-        return mirror_operator(named[kind])
-    if kind == "eighth":
-        return eighth_operator()
-    raise ValueError(f"unknown operator kind {kind!r}")
-
-
 def frobenius_basis(s: int, order: int):
     """Fundamental solutions f_0..f_{s-2} of the mirror operator at z=0.
 

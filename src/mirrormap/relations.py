@@ -6,9 +6,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
-from .linalg import _to_int_rows, nullspace
+from .linalg import nullspace
 from .mirror import mirror_data
 from .operators import (RationalFunction, eighth_operator,
                         fourth_order_normal_form, mirror_operator, poly,
@@ -265,13 +264,6 @@ def _stack_rows(monos, value_sets):
     return rows
 
 
-def _integerize(vec):
-    """The primitive integer vector on the line through ``vec``."""
-    ints = _to_int_rows([vec])[0]
-    g = gcd(*ints) or 1
-    return [rat(v // g) for v in ints]
-
-
 def relation_search(mode: str = "p2", weight_bound: int = 12,
                     order: int = 40, seed: int = 0) -> RelationSearchResult:
     """Scan quasi-weight strata for a differential polynomial in the ten
@@ -309,7 +301,7 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
         if not basis:
             continue
         poly = DiffPolynomial(symbols, SEARCH_WEIGHTS,
-                              dict(zip(monos, _integerize(basis[0]))))
+                              dict(zip(monos, map(rat, basis[0]))))
         fresh = all(poly.evaluate(symbol_values()).is_zero()
                     for _ in range(2))
         # the coupled-equation content, not a formal consequence of the

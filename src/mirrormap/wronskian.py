@@ -54,9 +54,9 @@ def coefficient_rows(fs):
 
 
 def coefficient_dependence(fs):
-    """Exact rational dependence among the series over their known window:
-    a nullspace basis of their coefficient rows (empty list = independent
-    to the order)."""
+    """Exact dependence among the series over their known window: the
+    primitive integer nullspace basis of their coefficient rows (empty
+    list = independent to the order)."""
     return nullspace(coefficient_rows(fs), len(fs))
 
 

@@ -43,7 +43,7 @@ def verify_yukawa_identity(order: int) -> PowerSeries:
 def integrality_suite(order: int):
     """Integrality of z(q), q(z)/z and f0~ for s = 3, 4, 5 and of K/5,
     each through the given exponent: one report item per series."""
-    slack = order + 2
+    slack = order + 1
     items = []
     for s in (3, 4, 5):
         md = mirror_data(s, slack)

@@ -222,6 +222,19 @@ class TestWronskianCommand:
         assert res.exit_code == 2
         assert "Error" in res.output and "Traceback" not in res.output
 
+    def test_reads_one_mirror_record(self, runner, tmp_path):
+        # W of one series is the series itself
+        res = runner.invoke(main, ["mirror", "--s", "3", "--order", "24",
+                                   "--format", "json"])
+        assert res.exit_code == 0
+        path = tmp_path / "mirror.json"
+        path.write_text(res.output)
+        res = runner.invoke(main, ["wronskian", "--input", str(path),
+                                   "--format", "json"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["coeffs"] == \
+            json.loads(path.read_text())["coeffs"]
+
     def test_empty_input_is_usage_error(self, runner, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("[]")

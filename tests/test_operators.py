@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from mirrormap.mirror import mirror_data
 from mirrormap.operators import (DeltaOperator, RationalFunction,
-                                 build_operator, eighth_operator,
-                                 fourth_order_normal_form, frobenius_basis,
-                                 g_functions, mirror_operator, pfq_series,
-                                 poly, second_order_normal_form, stirling2,
+                                 eighth_operator, fourth_order_normal_form,
+                                 frobenius_basis, g_functions,
+                                 mirror_operator, pfq_series, poly,
+                                 second_order_normal_form, stirling2,
                                  symmetric_square_check)
 from mirrormap.series import LogSeries, PowerSeries, Q, rat
 
@@ -164,17 +164,6 @@ class TestNormalForms:
 
 
 class TestBuildOperator:
-    def test_kinds(self):
-        assert build_operator("mirror", 3).degree == 2
-        assert build_operator("eq1").degree == 2
-        assert build_operator("eq4").degree == 3
-        assert build_operator("eq20").degree == 4
-        assert build_operator("eighth").degree == 2
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            build_operator("nope")
-
     def test_eighth_annihilates_its_f0(self):
         f = pfq_series([Q(1, 8), Q(3, 8)], [rat(1)], rat(256), 12)
         assert eighth_operator().apply(f).is_zero()

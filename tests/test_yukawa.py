@@ -48,6 +48,19 @@ class TestCoupling:
             yukawa_from_definition(12)
 
 
+def test_integrality_suite_asks_one_order_past_its_own(monkeypatch):
+    # integrality_report reads through q^order, so order + 1 terms suffice
+    asked = []
+
+    def recording(s, order):
+        asked.append(order)
+        return mirror_data(s, order)
+
+    monkeypatch.setattr(yukawa, "mirror_data", recording)
+    assert all(item["pass"] for item in yukawa.integrality_suite(24))
+    assert asked and set(asked) == {25}
+
+
 class TestInstantons:
     def test_known_values(self):
         table = instanton_numbers(yukawa_coupling(8), 5)
