@@ -1,4 +1,5 @@
-"""Exact linear algebra: integer nullspaces by fraction-free elimination."""
+"""Exact linear algebra: integer nullspaces by fraction-free elimination,
+behind a rank screen modulo a prime."""
 
 from __future__ import annotations
 
@@ -7,20 +8,60 @@ from operator import mul
 
 from .series import _integer_window
 
+#: The modulus of the rank screen, the Mersenne prime 2^61 - 1.
+PRIME = (1 << 61) - 1
+
+
+def _full_rank_mod_prime(m, ncols):
+    """Whether the integer rows ``m`` have rank ``ncols`` modulo PRIME.
+
+    The rows are reduced one at a time against an echelon basis whose
+    pivots are 1; each pivot row is stored reduced from its pivot column
+    on, and the scan stops as soon as the rank is full. A row being
+    reduced is only reduced modulo PRIME where it is read: its entries
+    grow by less than PRIME^2 per step.
+    """
+    pivots = {}  # column -> that row's entries from the column on
+    for row in m:
+        row = [v % PRIME for v in row]
+        c = 0
+        while True:
+            k = next((j for j, v in enumerate(row) if v % PRIME), None)
+            if k is None:
+                break
+            c += k
+            row = row[k:]
+            f = row[0] % PRIME
+            top = pivots.get(c)
+            if top is None:
+                inv = pow(f, -1, PRIME)
+                pivots[c] = [v * inv % PRIME for v in row]
+                if len(pivots) == ncols:
+                    return True
+                break
+            row = [a - f * b for a, b in zip(row, top)]
+    return False
+
 
 def nullspace(rows, ncols=None):
     """Basis of the exact nullspace of the rational row matrix.
 
-    Each row is scaled to integers and brought to echelon form by
-    fraction-free (Bareiss) elimination; back substitution stays in the
-    integers. There is one basis vector per free column: it is primitive,
-    its own free coordinate is positive and the other free coordinates are
-    zero. With no rows every vector of the ``ncols``-dimensional space is
-    in the nullspace.
+    Each row is scaled to integers. A screen modulo the prime PRIME
+    decides the full-rank matrices: integer rows have no more rank modulo
+    a prime than over Q, so full column rank modulo PRIME means the
+    nullspace is zero. Any other matrix is brought to echelon form by
+    fraction-free (Bareiss) elimination, and back substitution stays in
+    the integers; an unlucky prime costs that time, never a wrong basis.
+    There is one basis vector per free column: it is primitive, its own
+    free coordinate is positive and the other free coordinates are zero.
+    With no rows every vector of the ``ncols``-dimensional space is in the
+    nullspace.
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     m = [_integer_window(row)[0] for row in rows]
+    if _full_rank_mod_prime(m, ncols):
+        return []
     pivots = []  # (column, echelon row)
     prev = 1
     for c in range(ncols):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .linalg import nullspace
 from .mirror import mirror_data
@@ -256,7 +257,8 @@ _SEARCH_MODES = {
 
 def _stack_rows(monos, value_sets):
     """The coefficient rows of the monomials on every (values, memo) pair;
-    each memo keeps the monomials of its values across strata."""
+    each memo keeps the monomials of its values across strata, as long as
+    a later stratum may extend them."""
     rows = []
     for values, memo in value_sets:
         rows += coefficient_rows([monomial_value(e, values, memo)
@@ -297,7 +299,15 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
         scanned.append(weight)
         while len(value_sets) * (order - 1) < len(monos) + 10:
             value_sets.append((symbol_values(), {}))
-        basis = nullspace(_stack_rows(monos, value_sets), len(monos))
+        rows = _stack_rows(monos, value_sets)
+        # the next stratum's monomials extend parents at most the heaviest
+        # symbol's weight lighter than themselves; drop the rest
+        lightest = weight + 1 - max(SEARCH_WEIGHTS)
+        value_sets = [
+            (values, {e: v for e, v in memo.items()
+                      if sum(map(mul, SEARCH_WEIGHTS, e)) >= lightest})
+            for values, memo in value_sets]
+        basis = nullspace(rows, len(monos))
         if not basis:
             continue
         poly = DiffPolynomial(symbols, SEARCH_WEIGHTS,

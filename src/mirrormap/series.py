@@ -10,13 +10,12 @@ LogSeries in q whose part k holds k! [t^k]).
 
 All coefficients are arbitrary-precision rationals, always kept in lowest
 terms with positive denominator, so integrality checks reduce to
-``denominator == 1``. The coefficient type is ``fractions.Fraction``, or
-``gmpy2.mpq`` when the optional gmpy2 package is installed; both run the
-same code. Products convolve integer numerators over one common
-denominator per operand and build each result coefficient once, so the
-rational type normalises only once per output coefficient. Inverse,
-exponential, reversion and composition are built on that product and keep
-no coefficient recurrences of their own: inverse and exponential by Newton
+``denominator == 1``. The coefficient type is ``fractions.Fraction``.
+Products convolve integer numerators over one common denominator per
+operand and build each result coefficient once, so the rational type
+normalises only once per output coefficient. Inverse, exponential,
+reversion and composition are built on that product and keep no
+coefficient recurrences of their own: inverse and exponential by Newton
 iteration; reversion (Lagrange inversion) and composition by baby steps
 and giant steps, which need about 2 sqrt(N) products at order N, not one
 per coefficient.
@@ -25,13 +24,9 @@ per coefficient.
 from __future__ import annotations
 
 import re
+from fractions import Fraction as Q
 from math import comb, isqrt, lcm
 from operator import methodcaller, mul
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # gmpy2 is an optional accelerator
-    from fractions import Fraction as Q
 
 #: Sentinel truncation order for series that are known exactly (e.g. the
 #: implicit zero parts of a LogSeries).

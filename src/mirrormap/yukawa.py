@@ -35,8 +35,8 @@ def yukawa_coupling(order: int) -> PowerSeries:
 
 def verify_yukawa_identity(order: int) -> PowerSeries:
     """Residual of f0~^2 = (delta_q z/z)^3 / (1 - 5^5 z) * 5/K."""
-    md = mirror_data(5, order + 2)
-    rhs = hodge_ratio(md) * 5 * yukawa_coupling(order + 2).inverse()
+    md = mirror_data(5, order + 1)
+    rhs = hodge_ratio(md) * 5 * yukawa_coupling(order + 1).inverse()
     return (md.f0_tilde * md.f0_tilde - rhs).known_to(order)
 
 

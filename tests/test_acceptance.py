@@ -1,4 +1,4 @@
-"""Acceptance gate: the ten end-to-end checks with their runtime budgets.
+"""Acceptance gate: the eleven end-to-end checks with their runtime budgets.
 
 Every series comparison is exact (zero tolerance); the single floating-
 point check carries an explicit 1e-9 tolerance against an independently
@@ -164,3 +164,12 @@ def test_10_relation_search():
     # the dual certification evaluates the relation on the actual
     # mirror-map data through order >= 16
     assert result.verified_dual
+
+
+def test_11_p1_has_no_relation_through_weight_14():
+    # every p1 stratum through quasi-weight 14 has full column rank modulo
+    # the screen's prime, so no stratum needs exact elimination
+    with _timed(6.0):
+        result = relation_search(mode="p1", weight_bound=14, order=40, seed=0)
+    assert not result.found
+    assert result.weights_scanned == tuple(range(2, 15))

@@ -6,7 +6,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from mirrormap import operators
+from mirrormap import mirror, operators
 from mirrormap.cli import main
 from mirrormap.golden import GOLDEN_TABLES, golden_report
 from mirrormap.mirror import mirror_data
@@ -98,6 +98,20 @@ class TestVerify:
         assert [c["check"] for c in data["checks"]] == [
             "hodge s=3", "hodge s=4", "eq9 s=3", "eq9 s=4", "eq19", "eq16",
             "eq25", "pandharipande", "duality", "golden", "integrality"]
+
+    def test_verify_all_builds_each_bundle_once(self, runner, monkeypatch):
+        # eq19 shares the (5, 25) bundle of golden and integrality; the
+        # duality check's order + 6 slack needs (5, 26) of its own
+        built = []
+        real = mirror.mirror_pipeline
+        monkeypatch.setattr(mirror, "mirror_pipeline",
+                            lambda s, order: built.append((s, order))
+                            or real(s, order))
+        mirror_data.cache_clear()
+        yukawa_coupling.cache_clear()
+        assert runner.invoke(main, ["verify", "all"]).exit_code == 0
+        assert sorted(built) == [(3, 24), (3, 25), (4, 24), (4, 25),
+                                 (5, 20), (5, 25), (5, 26), (5, 30)]
 
     @pytest.mark.parametrize("args", [
         ["verify", "eq16", "--order", "16"],

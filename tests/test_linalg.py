@@ -1,12 +1,15 @@
-"""Exact nullspaces against a plain-Fraction Gauss-Jordan reference."""
+"""Exact nullspaces against a plain-Fraction Gauss-Jordan reference, and
+the rank screen modulo a prime in front of them."""
 
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrormap.linalg import nullspace
+from mirrormap import linalg
+from mirrormap.linalg import PRIME, nullspace
 
 _rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -74,3 +77,36 @@ def test_nullspace_matches_fraction_reference(matrix):
     for x in basis:
         assert all(type(v) is int for v in x)
         assert all(sum(a * v for a, v in zip(row, x)) == 0 for row in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+def test_full_rank_mod_prime_implies_exact_full_rank(matrix):
+    rows, ncols = matrix
+    m = [[int(v * lcm(*(u.denominator for u in row))) for v in row]
+         for row in rows]
+    if linalg._full_rank_mod_prime(m, ncols):
+        assert _reference_basis(rows, ncols) == []
+
+
+@pytest.mark.parametrize("rows, ncols", [
+    ([[PRIME]], 1),
+    ([[1, 1], [1, PRIME + 1]], 2),
+    ([[PRIME, 0], [0, 3 * PRIME]], 2),
+    ([[PRIME * 2 ** 700 + 1, 1], [1, 1]], 2),
+])
+def test_unlucky_prime_falls_through_to_exact(rows, ncols):
+    # the rank drops modulo the prime but not over Q: the screen passes the
+    # matrix on, and the exact elimination finds no kernel
+    assert not linalg._full_rank_mod_prime(rows, ncols)
+    assert nullspace(rows, ncols) == []
+
+
+@pytest.mark.parametrize("rows, ncols, basis", [
+    ([[1, 2, 3], [2, 4, 6]], 3, [[-2, 1, 0], [-3, 0, 1]]),
+    ([[PRIME, 2 * PRIME], [1, 2]], 2, [[-2, 1]]),
+    ([[Fraction(1, 2), Fraction(-1, 3)], [3, -2]], 2, [[2, 3]]),
+    ([[0, 0, 0]], 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+])
+def test_rank_deficient_keeps_canonical_basis(rows, ncols, basis):
+    assert nullspace(rows, ncols) == basis

@@ -61,6 +61,21 @@ def test_integrality_suite_asks_one_order_past_its_own(monkeypatch):
     assert asked and set(asked) == {25}
 
 
+def test_yukawa_identity_asks_one_order_past_its_own(monkeypatch):
+    # the residual is read through q^order, so order + 1 terms suffice
+    asked = []
+
+    def recording(s, order):
+        asked.append(order)
+        return mirror_data(s, order)
+
+    monkeypatch.setattr(yukawa, "mirror_data", recording)
+    yukawa_coupling.cache_clear()
+    residual = yukawa.verify_yukawa_identity(24)
+    assert residual.is_zero() and residual.order == 24
+    assert set(asked) == {25}
+
+
 class TestInstantons:
     def test_known_values(self):
         table = instanton_numbers(yukawa_coupling(8), 5)
