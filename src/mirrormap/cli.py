@@ -170,10 +170,14 @@ def wronskian_cmd(path, fmt, out):
 @click.option("--weight-bound", type=click.IntRange(min=2), default=12,
               show_default=True)
 @_order(40, 16)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Seed of p1's random inputs; p2 does not use it.")
 @_common
 def search_relation(mode, weight_bound, order, seed, fmt, out):
-    """Scan quasi-weight strata for an identically-vanishing relation."""
+    """Scan quasi-weight strata for an identically-vanishing relation.
+
+    p2 is decided exactly in Q[u', u'', ...]. --order sets the order of
+    p1's random inputs and of the dual certificate, max(16, order // 2)."""
     result = relation_search(mode=mode, weight_bound=weight_bound,
                              order=order, seed=seed)
     _emit(result.summary(), fmt, out)

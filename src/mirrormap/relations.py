@@ -98,7 +98,7 @@ class ABQuantities:
 def _quintic_pair(order: int):
     """z(q) and K(q) with the slack the coupled identities need to be
     known through the given order."""
-    slack = order + 6
+    slack = order + 1
     return mirror_data(5, slack).z_of_q, yukawa_coupling(slack)
 
 
@@ -228,41 +228,50 @@ def _monomials(weights, target):
     return out
 
 
-def _random_series(rng: random.Random, order: int,
-                   nonzero_lead: bool) -> PowerSeries:
-    """q * (random integers in [-9, 9]) + O(q^order); with ``nonzero_lead``
-    the q^1 coefficient is drawn from the nonzero ones."""
-    coeffs = [rat(rng.choice([c for c in range(-9, 10) if c]))] \
-        if nonzero_lead else []
-    coeffs += [rat(rng.randint(-9, 9))
-               for _ in range(order - 1 - len(coeffs))]
+def _random_series(rng: random.Random, order: int) -> PowerSeries:
+    """q * (random integers in [-9, 9], the first nonzero) + O(q^order)."""
+    coeffs = [rat(rng.choice([c for c in range(-9, 10) if c]))]
+    coeffs += [rat(rng.randint(-9, 9)) for _ in range(order - 2)]
     return PowerSeries("q", 1, coeffs, order)
 
 
-def _symbol_ladder(base2: PowerSeries, base4: PowerSeries):
-    """The ten series the symbols stand for, from their two bases."""
-    return ladder(base2, 5) + ladder(base4, 3)
+def _symbol_ladder(base2, base4, step=PowerSeries.euler):
+    """The ten values the symbols stand for, from their two bases."""
+    return ladder(base2, 5, step) + ladder(base4, 3, step)
 
 
-#: mode -> (symbols, the two bases on one native input u = log K or z, whether
-#: that input needs a nonzero q^1 coefficient, the two bases of the dual side:
-#: the actual mirror map for p2, the actual log-Yukawa coupling for p1).
+def _jet_symbol_values():
+    """The ten p2 symbols in the jet ring Q[u', u'', ..., u^(7)], which
+    B2''''' and B4''' reach, with ' the total derivative u^(k) -> u^(k+1)."""
+    jets = tuple("u" + "'" * k for k in range(1, 8))
+    d = DiffPolynomial.total_derivative
+    u1 = DiffPolynomial.monomial(jets, range(1, 8), (1,) + (0,) * 6)
+    return _symbol_ladder(*b_quantities(ladder(u1, 3, d)), d)
+
+
+#: mode -> (symbols, the two bases on one random input z, or None where the
+#: jet ring decides the search, the two bases of the dual side: the actual
+#: mirror map for p2, the actual log-Yukawa coupling for p1).
 _SEARCH_MODES = {
-    "p2": (P2_SYMBOLS, lambda u: b_quantities(ladder(u.euler(), 3)),
-           False, lambda ab: (ab.A2, ab.A4)),
+    "p2": (P2_SYMBOLS, None, lambda ab: (ab.A2, ab.A4)),
     "p1": (P1_SYMBOLS, lambda z: a_quantities(z, *quintic_normal_form()),
-           True, lambda ab: (ab.B2, ab.B4)),
+           lambda ab: (ab.B2, ab.B4)),
 }
 
 
 def _stack_rows(monos, value_sets):
-    """The coefficient rows of the monomials on every (values, memo) pair;
-    each memo keeps the monomials of its values across strata, as long as
+    """The coefficient rows of the monomials on every (values, memo) pair:
+    on the u-monomials for jet values, on the known window for series.
+    Each memo keeps the monomials of its values across strata, as long as
     a later stratum may extend them."""
     rows = []
     for values, memo in value_sets:
-        rows += coefficient_rows([monomial_value(e, values, memo)
-                                  for e in monos])
+        fs = [monomial_value(e, values, memo) for e in monos]
+        if isinstance(fs[0], DiffPolynomial):
+            keys = sorted(set().union(*(f.terms for f in fs)))
+            rows += [[f.terms.get(k, 0) for f in fs] for k in keys]
+        else:
+            rows += coefficient_rows(fs)
     return rows
 
 
@@ -270,35 +279,35 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
                     order: int = 40, seed: int = 0) -> RelationSearchResult:
     """Scan quasi-weight strata for a differential polynomial in the ten
     symbols that vanishes identically on its native side (arbitrary u for
-    mode p2, arbitrary z for mode p1), then certify it on fresh random
-    inputs and on the actual mirror-map data of the dual side.
+    mode p2, arbitrary z for mode p1), then check it there and certify it
+    on the actual mirror-map data of the dual side.
 
-    Deterministic for a fixed seed; the candidate matrix starts from two
-    random inputs and is extended with more until it has comfortably more
-    rows than columns. The lowest quasi-weight is 2, so a ``weight_bound``
-    below 2 scans nothing and is refused.
+    p2 decides each stratum exactly in the jet ring of u. p1 is seeded: it
+    draws two random inputs or more, until the rows outnumber the columns
+    by 10, and checks a found relation on two fresh ones. The lowest
+    quasi-weight is 2, so a ``weight_bound`` below 2 is refused.
     """
     if mode not in _SEARCH_MODES:
         raise ValueError(f"unknown search mode {mode!r}")
     if weight_bound < 2:
         raise ValueError(f"weight bound {weight_bound} is below the lowest "
                          "quasi-weight 2")
-    symbols, bases, nonzero_lead, dual_bases = _SEARCH_MODES[mode]
+    symbols, bases, dual_bases = _SEARCH_MODES[mode]
     rng = random.Random(seed)
 
-    def symbol_values():
-        return _symbol_ladder(*bases(_random_series(rng, order,
-                                                    nonzero_lead)))
+    def draw():
+        return _symbol_ladder(*bases(_random_series(rng, order)))
 
-    value_sets = [(symbol_values(), {}), (symbol_values(), {})]
+    value_sets = ([(draw(), {}), (draw(), {})] if bases
+                  else [(_jet_symbol_values(), {})])
     scanned, found = [], {}
     for weight in range(2, weight_bound + 1):
         monos = _monomials(SEARCH_WEIGHTS, weight)
         if not monos:
             continue
         scanned.append(weight)
-        while len(value_sets) * (order - 1) < len(monos) + 10:
-            value_sets.append((symbol_values(), {}))
+        while bases and len(value_sets) * (order - 1) < len(monos) + 10:
+            value_sets.append((draw(), {}))
         rows = _stack_rows(monos, value_sets)
         # the next stratum's monomials extend parents at most the heaviest
         # symbol's weight lighter than themselves; drop the rest
@@ -312,8 +321,8 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
             continue
         poly = DiffPolynomial(symbols, SEARCH_WEIGHTS,
                               dict(zip(monos, map(rat, basis[0]))))
-        fresh = all(poly.evaluate(symbol_values()).is_zero()
-                    for _ in range(2))
+        checks = [draw(), draw()] if bases else [value_sets[0][0]]
+        fresh = all(poly.evaluate(values).is_zero() for values in checks)
         # the coupled-equation content, not a formal consequence of the
         # search: the relation must also kill the dual side's symbols
         ab = ab_quantities(max(16, order // 2))

@@ -6,7 +6,7 @@ from itertools import combinations
 from math import comb
 
 from .linalg import nullspace
-from .series import LogSeries, PowerSeries, Q, ladder, rat
+from .series import LogSeries, PowerSeries, Q, TruncationError, ladder, rat
 
 
 class IndeterminateWronskian(Exception):
@@ -154,6 +154,23 @@ class DiffPolynomial:
         return DiffPolynomial(self.symbols, self.weights, terms)
 
     __rmul__ = __mul__
+
+    def __pow__(self, n):
+        return self if n == 1 else self * self ** (n - 1)
+
+    def total_derivative(self):
+        """The jet ring's derivation, each symbol to the next, for constant
+        coefficients; a term past the last symbol raises, never drops."""
+        terms = {}
+        for e, c in self.terms.items():
+            if e[-1]:
+                raise TruncationError(f"the derivative of {self.symbols[-1]}"
+                                      " is past the last symbol")
+            for i, k in enumerate(e[:-1]):
+                if k:
+                    d = e[:i] + (k - 1, e[i + 1] + 1) + e[i + 2:]
+                    terms[d] = terms.get(d, 0) + k * c
+        return DiffPolynomial(self.symbols, self.weights, terms)
 
     def map_coeffs(self, fn):
         return DiffPolynomial(self.symbols, self.weights,

@@ -100,8 +100,8 @@ class TestVerify:
             "eq25", "pandharipande", "duality", "golden", "integrality"]
 
     def test_verify_all_builds_each_bundle_once(self, runner, monkeypatch):
-        # eq19 shares the (5, 25) bundle of golden and integrality; the
-        # duality check's order + 6 slack needs (5, 26) of its own
+        # eq19, eq16 and eq25 share the (5, 25) bundle of golden and
+        # integrality; the duality check's order + 1 slack needs (5, 21)
         built = []
         real = mirror.mirror_pipeline
         monkeypatch.setattr(mirror, "mirror_pipeline",
@@ -111,7 +111,7 @@ class TestVerify:
         yukawa_coupling.cache_clear()
         assert runner.invoke(main, ["verify", "all"]).exit_code == 0
         assert sorted(built) == [(3, 24), (3, 25), (4, 24), (4, 25),
-                                 (5, 20), (5, 25), (5, 26), (5, 30)]
+                                 (5, 20), (5, 21), (5, 25)]
 
     @pytest.mark.parametrize("args", [
         ["verify", "eq16", "--order", "16"],
@@ -265,6 +265,19 @@ class TestSearchRelation:
         data = json.loads(res.output)
         assert data["found"] and data["quasi_weight"] == 12
         assert data["verified_fresh"] and data["verified_dual"]
+
+    def test_p2_does_not_depend_on_the_seed(self, runner):
+        # p2 is decided in the jet ring; the seed is only echoed
+        outputs = set()
+        for seed in range(5):
+            res = runner.invoke(main, ["search-relation", "--mode", "p2",
+                                       "--seed", str(seed)])
+            assert res.exit_code == 0, res.output
+            lines = res.output.splitlines(keepends=True)
+            assert f"seed: {seed}\n" in lines
+            outputs.add("".join(line for line in lines
+                                if not line.startswith("seed: ")))
+        assert len(outputs) == 1
 
     def test_p1_low_bound_exits_nonzero(self, runner):
         res = runner.invoke(main, ["search-relation", "--mode", "p1",

@@ -1,19 +1,22 @@
 """Coupled nonlinear identities and the quasi-homogeneous relation search."""
 
+import random
 from operator import mul
 
 import pytest
 
 from mirrormap import mirror, relations, yukawa
+from mirrormap.linalg import nullspace
 from mirrormap.mirror import mirror_data, verify_hodge_identity
 from mirrormap.operators import second_order_normal_form, mirror_operator
-from mirrormap.relations import (ab_quantities, quintic_normal_form,
+from mirrormap.relations import (P2_SYMBOLS, SEARCH_WEIGHTS, ab_quantities,
+                                 b_quantities, quintic_normal_form,
                                  rational_q, rational_q_tilde,
                                  relation_search, verify_duality,
                                  verify_eq_fourth, verify_eq_schwarzian,
                                  verify_eq_second)
-from mirrormap.series import Q, PowerSeries, TruncationError, rat
-from mirrormap.wronskian import schwarzian
+from mirrormap.series import Q, PowerSeries, TruncationError, ladder, rat
+from mirrormap.wronskian import DiffPolynomial, schwarzian
 from mirrormap.yukawa import verify_yukawa_identity, yukawa_coupling
 
 
@@ -144,7 +147,8 @@ class TestRelationSearch:
 def test_stacking_forms_each_monomial_once(monkeypatch):
     """Row stacking makes at most one series product per monomial of
     degree >= 2 and value set: a monomial extends its parent, which has a
-    lower weight, and each value set keeps its monomials across strata."""
+    lower weight, and each value set keeps its monomials across strata.
+    Mode p1 stacks rows from random series; p2 stacks none."""
     products, stacking, largest = 0, False, {}
     real_mul, real_stack = PowerSeries.__mul__, relations._stack_rows
 
@@ -168,13 +172,63 @@ def test_stacking_forms_each_monomial_once(monkeypatch):
     monkeypatch.setattr(PowerSeries, "__mul__", counted)
     monkeypatch.setattr(PowerSeries, "__rmul__", counted)
     monkeypatch.setattr(relations, "_stack_rows", stack)
-    relation_search(mode="p2", weight_bound=12, seed=0)
+    relation_search(mode="p1", weight_bound=12, seed=0)
 
     def products_through(weight):
         return sum(sum(e) > 1 for w in range(2, weight + 1)
                    for e in relations._monomials(relations.SEARCH_WEIGHTS, w))
 
     assert 0 < products <= sum(map(products_through, largest.values()))
+
+
+#: The p2 relation at quasi-weight 12, as ``relation_search`` prints it.
+P2_RELATION = (
+    "(-256)*B4^3 + (-128)*B2''*B4^2 + (48)*B2''^2*B4 + (448)*B2'*B4*B4' "
+    "+ (-64)*B2'*B2'''*B4 + (-48)*B2'*B2''*B4' + (-48)*B2'^2*B4'' "
+    "+ (12)*B2'^2*B2'''' + (15)*B2'^4 + (-256)*B2*B4'^2 + (128)*B2*B4*B4'' "
+    "+ (-32)*B2*B2''''*B4 + (96)*B2*B2'''*B4' + (-8)*B2*B2'''^2 "
+    "+ (-240)*B2*B2'^2*B4 + (48)*B2*B2'^2*B2'' + (128)*B2^2*B4^2 "
+    "+ (-12)*B2^2*B2''^2 + (144)*B2^2*B2'*B4' + (-32)*B2^2*B2'*B2''' "
+    "+ (-32)*B2^3*B4'' + (8)*B2^3*B2'''' + (-4)*B2^3*B2'^2 "
+    "+ (-16)*B2^4*B4 + (8)*B2^4*B2''")
+
+
+class TestJetRing:
+    """The p2 symbols as differential polynomials in u', u'', ..."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_jet_symbols_match_series_symbols(self, seed):
+        # differential test against the series reference: the ten jet
+        # values at u^(k) = the k-th delta_q derivative of a random u
+        rng = random.Random(seed)
+        u = PowerSeries("q", 1, [rat(rng.randint(-9, 9)) for _ in range(23)],
+                        24)
+        values = relations._jet_symbol_values()
+        jets = ladder(u.euler(), len(values[0].symbols) - 1)
+        reference = relations._symbol_ladder(
+            *b_quantities(ladder(u.euler(), 3)))
+        assert len(values) == len(reference) == 10
+        for poly, series in zip(values, reference):
+            value = poly.evaluate(jets)
+            assert value.order == series.order and value == series
+
+    def test_exact_nullities(self):
+        # strata 2-11 carry no relation; stratum 12 (40 monomials over 64
+        # u-monomials) carries exactly one
+        values, memo = relations._jet_symbol_values(), {}
+        for weight in range(2, 13):
+            monos = relations._monomials(SEARCH_WEIGHTS, weight)
+            rows = relations._stack_rows(monos, [(values, memo)])
+            basis = nullspace(rows, len(monos))
+            assert len(basis) == (weight == 12), weight
+        assert (len(rows), len(monos)) == (64, 40)
+        poly = DiffPolynomial(P2_SYMBOLS, SEARCH_WEIGHTS,
+                              dict(zip(monos, map(rat, basis[0]))))
+        assert len(poly.terms) == 25 and repr(poly) == P2_RELATION
+        assert poly.evaluate(values).is_zero()
+
+    def test_search_returns_the_jet_relation(self, result):
+        assert repr(result.polynomial) == P2_RELATION
 
 
 class TestYukawaSideSanity:

@@ -1,11 +1,14 @@
 """Wronskians, the ratio-annihilating operator R[t], and Schwarzians."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrormap.linalg import nullspace
 from mirrormap.operators import frobenius_basis, second_order_normal_form, \
     mirror_operator
-from mirrormap.series import BIG_ORDER, LogSeries, PowerSeries, Q, rat
+from mirrormap.series import (BIG_ORDER, LogSeries, PowerSeries, Q,
+                               TruncationError, rat)
 from mirrormap.wronskian import (DiffPolynomial, IndeterminateWronskian,
                                  coefficient_dependence, monomial_value,
                                  r_operator, r_substitute, schwarzian,
@@ -183,3 +186,57 @@ class TestDiffPolynomial:
         rec = p.to_records()
         assert rec == [{"exponents": {"a": 1, "b": 2},
                         "coefficient": "1/3", "weight": 8}]
+
+
+JETS = ("u1", "u2", "u3", "u4")
+JET_WTS = (1, 2, 3, 4)
+
+
+def jet(exps, coeff=1):
+    return DiffPolynomial.monomial(JETS, JET_WTS, exps, rat(coeff))
+
+
+@st.composite
+def jet_polys(draw):
+    """Random polynomials in u1 .. u3 (u4 stays free for one derivative)."""
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2),
+                  st.just(0)),
+        st.fractions(min_value=-9, max_value=9, max_denominator=6),
+        max_size=5))
+    return DiffPolynomial(JETS, JET_WTS, terms)
+
+
+class TestTotalDerivative:
+    def test_shifts_each_jet(self):
+        for k in range(3):
+            e = [0] * 4
+            e[k] = 1
+            d = jet(e).total_derivative()
+            e[k], e[k + 1] = 0, 1
+            assert d.terms == {tuple(e): 1}
+
+    def test_chain_rule_on_a_monomial(self):
+        # (3/2 u1^2 u3)' = 3 u1 u2 u3 + 3/2 u1^2 u4
+        d = jet((2, 0, 1, 0), Q(3, 2)).total_derivative()
+        assert d.terms == {(1, 1, 1, 0): 3, (2, 0, 0, 1): Q(3, 2)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(jet_polys(), jet_polys())
+    def test_leibniz_rule(self, p, q):
+        lhs = (p * q).total_derivative()
+        rhs = p.total_derivative() * q + p * q.total_derivative()
+        assert (lhs - rhs).is_zero()
+        assert ((p + q).total_derivative()
+                - p.total_derivative() - q.total_derivative()).is_zero()
+
+    @pytest.mark.parametrize("exps", [(0, 0, 0, 1), (1, 0, 0, 2)])
+    def test_refuses_the_slot_past_the_top(self, exps):
+        # the term that needs u5 is refused even beside terms that do not
+        with pytest.raises(TruncationError, match="u4"):
+            (jet((0, 1, 0, 0)) + jet(exps)).total_derivative()
+
+    def test_power(self):
+        u1 = jet((1, 0, 0, 0), 2)
+        assert (u1 ** 4).terms == {(4, 0, 0, 0): 16}
+        assert (u1 ** 1).terms == u1.terms
