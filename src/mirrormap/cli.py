@@ -14,7 +14,7 @@ from .golden import golden_report
 from .mirror import mirror_data, verify_hodge_identity
 from .relations import (relation_search, verify_duality, verify_eq_fourth,
                         verify_eq_schwarzian, verify_eq_second)
-from .series import series_from_record, series_to_record
+from .series import TruncationError, series_from_record, series_to_record
 from .wronskian import IndeterminateWronskian, wronskian
 from .yukawa import (evaluate_F0_at, instanton_numbers, integrality_suite,
                      prepotential, verify_pandharipande,
@@ -178,8 +178,11 @@ def search_relation(mode, weight_bound, order, seed, fmt, out):
 
     p2 is decided exactly in Q[u', u'', ...]. --order sets the order of
     p1's random inputs and of the dual certificate, max(16, order // 2)."""
-    result = relation_search(mode=mode, weight_bound=weight_bound,
-                             order=order, seed=seed)
+    try:
+        result = relation_search(mode=mode, weight_bound=weight_bound,
+                                 order=order, seed=seed)
+    except TruncationError as exc:
+        raise click.UsageError(str(exc))
     _emit(result.summary(), fmt, out)
     if not (result.found and result.verified_fresh and result.verified_dual):
         sys.exit(1)

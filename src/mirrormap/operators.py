@@ -276,28 +276,27 @@ def second_order_normal_form(op: DeltaOperator) -> RationalFunction:
 
 
 def fourth_order_normal_form(op: DeltaOperator):
-    """Reduce a fourth-order operator to y'''' + Q2 y'' + Q2' y' + Q0 y.
-
-    Conjugates away the third-derivative term by y -> w y with
-    w'/w = -a1/4; returns (Q2, Q0). The first-derivative coefficient of
-    the reduced form equals dQ2/dz, which is checked here.
-    """
+    """(Q2, Q0) of a fourth-order operator written in d/dz form."""
     if op.degree != 4:
         raise ValueError("fourth-order operator required")
-    b = op.to_dz()
-    lead = RationalFunction(b[4])
-    a1 = RationalFunction(b[3]) / lead
-    a2 = RationalFunction(b[2]) / lead
-    a3 = RationalFunction(b[1]) / lead
-    a4 = RationalFunction(b[0]) / lead
-    u, u1, u2, u3 = ladder(a1 * Q(-1, 4), 3, RationalFunction.deriv)
+    *low, lead = map(RationalFunction, op.to_dz())
+    a4, a3, a2, a1 = (b / lead for b in low)
+    return fourth_order_reduction(a1, a2, a3, a4, RationalFunction.deriv)
+
+
+def fourth_order_reduction(a1, a2, a3, a4, step):
+    """(Q2, Q0) of Y'''' + Q2 Y'' + Q2' Y' + Q0 Y, the reduction of
+    y'''' + a1 y''' + a2 y'' + a3 y' + a4 y by y = w Y with w'/w = -a1/4;
+    ' = step, a derivation of the coefficients (RationalFunction,
+    PowerSeries, DiffPolynomial). Q1 = Q2' is checked here."""
+    u, u1, u2, u3 = ladder(a1 * Q(-1, 4), 3, step)
     q2 = 6 * u1 + 6 * u * u + 3 * a1 * u + a2
     q1 = (4 * u2 + 12 * u * u1 + 4 * u * u * u
           + a1 * (3 * u1 + 3 * u * u) + 2 * a2 * u + a3)
     q0 = (u3 + 4 * u * u2 + 3 * u1 * u1 + 6 * u * u * u1 + u * u * u * u
           + a1 * (u2 + 3 * u * u1 + u * u * u)
           + a2 * (u1 + u * u) + a3 * u + a4)
-    if not (q1 == q2.deriv()):
+    if not (q1 - step(q2)).is_zero():
         raise ArithmeticError(
             "reduction did not produce the self-adjoint-like shape")
     return q2, q0

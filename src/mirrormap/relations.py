@@ -5,15 +5,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import mul
 
 from .linalg import nullspace
 from .mirror import mirror_data
 from .operators import (RationalFunction, eighth_operator,
-                        fourth_order_normal_form, mirror_operator, poly,
+                        fourth_order_reduction, mirror_operator, poly,
                         second_order_normal_form)
-from .series import PowerSeries, Q, ladder, rat
+from .series import PowerSeries, Q, TruncationError, ladder, rat
 from .wronskian import (DiffPolynomial, coefficient_rows, monomial_value,
                         schwarzian)
 from .yukawa import yukawa_coupling
@@ -30,58 +29,41 @@ def rational_q() -> RationalFunction:
 
 
 def rational_q_tilde() -> RationalFunction:
-    """The fourth-order counterpart:
-    -(5750z + 63671875z^2 + 19531250000z^3) / (1-5^5 z)^4.
-
-    The numerator is pinned empirically: it is exactly cubic when fitted
-    from the Yukawa side (higher coefficients vanish through z^7)."""
+    """The fourth-order counterpart,
+    -(5750z + 63671875z^2 + 19531250000z^3) / (1-5^5 z)^4 = 100 z^4 theta_4,
+    theta_4 = Q0 - (3/10)Q2'' - (9/100)Q2^2 the Laguerre-Forsyth invariant
+    of the quintic's normal form (A. R. Forsyth, Phil. Trans. R. Soc. A 179
+    (1888) 377-489). Built from (Q2, Q0) it is unreduced, 86 over 86 in z,
+    slower, and nonzero at z = 0, where ``eval_series`` may lose orders."""
     num = poly([0, -5750, -63671875, -19531250000])
     return RationalFunction(num, poly([1, -C5]) ** 4)
 
 
-@lru_cache(maxsize=1)
-def quintic_normal_form():
-    """(Q2, Q0) of the reduced fourth-order shape; Q2 = 10 * rational_q()."""
-    return fourth_order_normal_form(mirror_operator(5))
+def b_quantities(u1, step=PowerSeries.euler):
+    """B2 = 2u'' - u'^2/2 and B4 = u''''/2 + u''^2/4 - u''u'^2/2 + u'^4/16,
+    the (Q2, Q0) of d^2/dt^2 (1/K) d^2/dt^2, whose coefficients over 1/K
+    are (-2u', u'^2 - u'', 0, 0); u1 = u' = K'/K, ' = step = d/dt."""
+    zero = u1 * 0
+    return fourth_order_reduction(-2 * u1, u1 * u1 - step(u1), zero, zero,
+                                  step)
 
 
-def log_yukawa_derivs(K: PowerSeries, count: int):
-    """[u', u'', ...] for u = log K with ' = delta_q.
-
-    u itself is never materialized (its constant term log K(0) is not
-    rational); only the derivatives, starting from u' = K'/K, are.
-    """
-    return ladder(K.euler() / K, count - 1)
-
-
-def b_quantities(u_derivs):
-    """B2 = 2u'' - u'^2/2 and B4 = u''''/2 + u''^2/4 - u''u'^2/2 + u'^4/16."""
-    u1, u2, _, u4 = u_derivs[:4]
-    b2 = 2 * u2 - Q(1, 2) * u1 * u1
-    b4 = (Q(1, 2) * u4 + Q(1, 4) * u2 * u2
-          - Q(1, 2) * u2 * u1 * u1 + Q(1, 16) * u1 ** 4)
-    return b2, b4
-
-
-def a_quantities(z: PowerSeries, q2: RationalFunction, q0: RationalFunction):
-    """A2 = Q2(z)z'^2 + 5{z,t} and the fourth-order companion A4,
-    with ' = d/dt = delta_q acting on a series z(q) of valuation 1."""
-    _, z1, z2, z3, z4, z5 = ladder(z, 5)
-    q2z = q2.eval_series(z)
-    a2 = q2z * z1 * z1 + 5 * schwarzian(z)
-    a4 = (q0.eval_series(z) * z1 ** 4
-          + Q(3, 2) * q2.deriv().eval_series(z) * z1 * z1 * z2
-          - Q(3, 4) * q2z * z2 * z2
-          + Q(3, 2) * q2z * z1 * z3
-          # the (z''/z')^4 constant is pinned empirically as -135/16: it
-          # is the unique value making A4 agree with B4(log K) on the
-          # actual mirror map (checked to high order, nullity-one fit)
-          - Q(135, 16) * (z2 / z1) ** 4
-          + Q(75, 4) * z2 * z2 * z3 / z1 ** 3
-          - Q(15, 4) * (z3 / z1) ** 2
-          - Q(15, 2) * z2 * z4 / (z1 * z1)
-          + Q(3, 2) * z5 / z1)
-    return a2, a4
+def a_quantities(z: PowerSeries):
+    """A2 = Q2(z)z'^2 + 5{z,t} and A4, the (Q2, Q0) of the quintic operator
+    pulled back to t = log q, ' = delta_q, at a series z(q) of valuation 1:
+    with r = z/z', delta_z = r delta_q, and sum_k c_k(z) delta_z^k is
+    expanded in powers of delta_q."""
+    r, zero = z / z.euler(), z * 0
+    power, b = [PowerSeries.one(z.var)], [zero] * 5  # (r delta_q)^k, the sum
+    for k, c in enumerate(mirror_operator(5).coeffs):
+        if k:  # r delta_q P = r (P' + P delta_q), term by term
+            power = [r * (e.euler() + lower)
+                     for e, lower in zip(power + [zero], [zero] + power)]
+        cz = c.compose(z)
+        b = [bj + cz * e for bj, e in zip(b, power)] + b[k + 1:]
+    inv = 1 / b[4]
+    return fourth_order_reduction(b[3] * inv, b[2] * inv, b[1] * inv,
+                                  b[0] * inv, PowerSeries.euler)
 
 
 @dataclass(frozen=True)
@@ -104,17 +86,18 @@ def _quintic_pair(order: int):
 
 def ab_quantities(order: int) -> ABQuantities:
     z, K = _quintic_pair(order)
-    q2, q0 = quintic_normal_form()
-    a2, a4 = a_quantities(z, q2, q0)
-    b2, b4 = b_quantities(log_yukawa_derivs(K, 4))
+    a2, a4 = a_quantities(z)
+    b2, b4 = b_quantities(K.euler() / K)  # u = log K itself is irrational
     return ABQuantities(order=order,
                         A2=a2.known_to(order), A4=a4.known_to(order),
                         B2=b2.known_to(order), B4=b4.known_to(order))
 
 
 def verify_duality(order: int):
-    """Residuals A2 - B2 and A4 - B4 on the actual mirror map / Yukawa pair;
-    both vanish, which is the mirror-map side of the coupled identities."""
+    """Residuals A2 - B2 and A4 - B4 on the actual mirror map / Yukawa pair:
+    the normal forms of the quintic operator pulled back to t and of
+    d^2/dt^2 (1/K) d^2/dt^2. Both vanish: z(t) and K(t) carry one
+    fourth-order equation, the mirror-map side of the coupled identities."""
     ab = ab_quantities(order)
     return ab.A2 - ab.B2, ab.A4 - ab.B4
 
@@ -147,7 +130,7 @@ def verify_eq_second(order: int) -> PowerSeries:
     """Residual of 2Q(z)(dz/dt)^2 + {z,t} = (2/5)u'' - (1/10)u'^2,
     u = log K; the Laurent principal parts on the left cancel exactly."""
     z, K = _quintic_pair(order)
-    u1, u2 = log_yukawa_derivs(K, 2)
+    u1, u2 = ladder(K.euler() / K, 1)
     lhs = _schwarzian_form(rational_q(), z)
     rhs = Q(2, 5) * u2 - Q(1, 10) * u1 * u1
     return (lhs - rhs).known_to(order)
@@ -246,16 +229,16 @@ def _jet_symbol_values():
     jets = tuple("u" + "'" * k for k in range(1, 8))
     d = DiffPolynomial.total_derivative
     u1 = DiffPolynomial.monomial(jets, range(1, 8), (1,) + (0,) * 6)
-    return _symbol_ladder(*b_quantities(ladder(u1, 3, d)), d)
+    return _symbol_ladder(*b_quantities(u1, d), d)
 
 
 #: mode -> (symbols, the two bases on one random input z, or None where the
 #: jet ring decides the search, the two bases of the dual side: the actual
-#: mirror map for p2, the actual log-Yukawa coupling for p1).
+#: mirror map for p2, the actual log-Yukawa coupling for p1). a_quantities
+#: is looked up at call time, so a tracer that rebinds it sees p1's calls.
 _SEARCH_MODES = {
     "p2": (P2_SYMBOLS, None, lambda ab: (ab.A2, ab.A4)),
-    "p1": (P1_SYMBOLS, lambda z: a_quantities(z, *quintic_normal_form()),
-           lambda ab: (ab.B2, ab.B4)),
+    "p1": (P1_SYMBOLS, lambda z: a_quantities(z), lambda ab: (ab.B2, ab.B4)),
 }
 
 
@@ -284,8 +267,10 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
 
     p2 decides each stratum exactly in the jet ring of u. p1 is seeded: it
     draws two random inputs or more, until the rows outnumber the columns
-    by 10, and checks a found relation on two fresh ones. The lowest
-    quasi-weight is 2, so a ``weight_bound`` below 2 is refused.
+    by 10, and checks a found relation on two fresh ones. A draw that adds
+    no rows, or a relation that fails on the fresh inputs, is a truncation
+    artifact of ``order``: TruncationError. The lowest quasi-weight is 2,
+    so a ``weight_bound`` below 2 is refused.
     """
     if mode not in _SEARCH_MODES:
         raise ValueError(f"unknown search mode {mode!r}")
@@ -296,19 +281,26 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
     rng = random.Random(seed)
 
     def draw():
-        return _symbol_ladder(*bases(_random_series(rng, order)))
+        z = _random_series(rng, order)
+        # an input of order 1 keeps no term, so it has no symbol values
+        return [(_symbol_ladder(*bases(z)), {})] if z else []
 
-    value_sets = ([(draw(), {}), (draw(), {})] if bases
-                  else [(_jet_symbol_values(), {})])
+    value_sets = [] if bases else [(_jet_symbol_values(), {})]
     scanned, found = [], {}
     for weight in range(2, weight_bound + 1):
         monos = _monomials(SEARCH_WEIGHTS, weight)
         if not monos:
             continue
         scanned.append(weight)
-        while bases and len(value_sets) * (order - 1) < len(monos) + 10:
-            value_sets.append((draw(), {}))
         rows = _stack_rows(monos, value_sets)
+        while bases and (len(value_sets) < 2 or len(rows) < len(monos) + 10):
+            new = draw()
+            more = _stack_rows(monos, new)
+            if not more:
+                raise TruncationError(f"{mode} inputs of order {order} add "
+                                      f"no rows at quasi-weight {weight}")
+            value_sets += new
+            rows += more
         # the next stratum's monomials extend parents at most the heaviest
         # symbol's weight lighter than themselves; drop the rest
         lightest = weight + 1 - max(SEARCH_WEIGHTS)
@@ -321,8 +313,11 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
             continue
         poly = DiffPolynomial(symbols, SEARCH_WEIGHTS,
                               dict(zip(monos, map(rat, basis[0]))))
-        checks = [draw(), draw()] if bases else [value_sets[0][0]]
-        fresh = all(poly.evaluate(values).is_zero() for values in checks)
+        checks = draw() + draw() if bases else value_sets
+        if not all(poly.evaluate(values).is_zero() for values, _ in checks):
+            raise TruncationError(
+                f"the {mode} relation at quasi-weight {weight} fails on fresh "
+                f"inputs: an artifact of order {order}")
         # the coupled-equation content, not a formal consequence of the
         # search: the relation must also kill the dual side's symbols
         ab = ab_quantities(max(16, order // 2))
@@ -330,7 +325,7 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
         found = {"weight": weight, "polynomial": poly,
                  "stratum_size": len(monos),
                  "degree_set": tuple(poly.degree_set()),
-                 "verified_fresh": fresh, "verified_dual": dual}
+                 "verified_fresh": True, "verified_dual": dual}
         break
     return RelationSearchResult(
         mode=mode, found=bool(found), weights_scanned=tuple(scanned),

@@ -6,7 +6,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from mirrormap import mirror, operators
+from mirrormap import cli, mirror, operators
 from mirrormap.cli import main
 from mirrormap.golden import GOLDEN_TABLES, golden_report
 from mirrormap.mirror import mirror_data
@@ -285,6 +285,17 @@ class TestSearchRelation:
                                    "--format", "json"])
         assert res.exit_code == 1
         assert json.loads(res.output)["found"] is False
+
+    def test_p1_truncation_artifact_is_usage_error(self, runner, monkeypatch):
+        # the --order floor of 16 leaves artifacts only at slow, high
+        # weights; run the library at order 3, where one appears at weight 4
+        search = cli.relation_search
+        monkeypatch.setattr(cli, "relation_search",
+                            lambda **kw: search(**{**kw, "order": 3}))
+        res = runner.invoke(main, ["search-relation", "--mode", "p1",
+                                   "--weight-bound", "4"])
+        assert res.exit_code == 2
+        assert "quasi-weight 4 fails on fresh inputs" in res.output
 
     @pytest.mark.parametrize("bound", ["1", "0", "-3"])
     def test_weight_bound_below_two_is_usage_error(self, runner, bound):

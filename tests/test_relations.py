@@ -1,6 +1,7 @@
 """Coupled nonlinear identities and the quasi-homogeneous relation search."""
 
 import random
+from math import prod
 from operator import mul
 
 import pytest
@@ -8,9 +9,11 @@ import pytest
 from mirrormap import mirror, relations, yukawa
 from mirrormap.linalg import nullspace
 from mirrormap.mirror import mirror_data, verify_hodge_identity
-from mirrormap.operators import second_order_normal_form, mirror_operator
-from mirrormap.relations import (P2_SYMBOLS, SEARCH_WEIGHTS, ab_quantities,
-                                 b_quantities, quintic_normal_form,
+from mirrormap.operators import (RationalFunction, fourth_order_normal_form,
+                                 mirror_operator, poly,
+                                 second_order_normal_form)
+from mirrormap.relations import (P2_SYMBOLS, SEARCH_WEIGHTS, a_quantities,
+                                 ab_quantities, b_quantities,
                                  rational_q, rational_q_tilde,
                                  relation_search, verify_duality,
                                  verify_eq_fourth, verify_eq_schwarzian,
@@ -23,7 +26,7 @@ from mirrormap.yukawa import verify_yukawa_identity, yukawa_coupling
 class TestRationalData:
     def test_q_matches_normal_form(self):
         # the closed form equals Q2/10 from the reduced fourth-order shape
-        q2, _ = quintic_normal_form()
+        q2, _ = fourth_order_normal_form(mirror_operator(5))
         lhs = rational_q().series("z", 10)
         rhs = q2.series("z", 10)
         assert (10 * lhs - rhs).is_zero()
@@ -31,6 +34,46 @@ class TestRationalData:
     def test_q_tilde_pole_structure(self):
         s = rational_q_tilde().series("z", 5)
         assert s.val == 1 and s.coeff(1) == -5750
+
+    def test_q_tilde_is_the_laguerre_forsyth_invariant(self):
+        # Q~ = 100 z^4 theta_4 with theta_4 = Q0 - (3/10)Q2'' - (9/100)Q2^2
+        # of the quintic's normal form in d/dz, exactly
+        q2, q0 = fourth_order_normal_form(mirror_operator(5))
+        theta4 = q0 - Q(3, 10) * q2.deriv().deriv() - Q(9, 100) * q2 * q2
+        z4 = RationalFunction(poly([0, 0, 0, 0, 100]))
+        assert z4 * theta4 == rational_q_tilde()
+
+
+def hand_a_quantities(z):
+    """A2 = Q2(z)z'^2 + 5{z,t} and A4 expanded by hand in z', ..., z^(5),
+    ' = delta_q, from the quintic's (Q2, Q0) in d/dz: the reference for
+    the pullback that ``a_quantities`` reduces, and the certificate of its
+    (z''/z')^4 coefficient -135/16."""
+    q2, q0 = fourth_order_normal_form(mirror_operator(5))
+    _, z1, z2, z3, z4, z5 = ladder(z, 5)
+    q2z = q2.eval_series(z)
+    a2 = q2z * z1 * z1 + 5 * schwarzian(z)
+    a4 = (q0.eval_series(z) * z1 ** 4
+          + Q(3, 2) * q2.deriv().eval_series(z) * z1 * z1 * z2
+          - Q(3, 4) * q2z * z2 * z2
+          + Q(3, 2) * q2z * z1 * z3
+          - Q(135, 16) * (z2 / z1) ** 4
+          + Q(75, 4) * z2 * z2 * z3 / z1 ** 3
+          - Q(15, 4) * (z3 / z1) ** 2
+          - Q(15, 2) * z2 * z4 / (z1 * z1)
+          + Q(3, 2) * z5 / z1)
+    return a2, a4
+
+
+@pytest.mark.parametrize("source, n", [("mirror", n) for n in (9, 17, 21, 41)]
+                         + [("random", seed) for seed in range(5)])
+def test_a_quantities_match_the_hand_expansion(source, n):
+    # the actual mirror map at order n; random order-40 inputs of p1's seed n
+    z = (mirror_data(5, n).z_of_q if source == "mirror"
+         else relations._random_series(random.Random(n), 40))
+    for derived, hand in zip(a_quantities(z), hand_a_quantities(z)):
+        assert (derived.val, derived.order, derived.coeffs) == \
+            (hand.val, hand.order, hand.coeffs)
 
 
 class TestCoupledIdentities:
@@ -137,6 +180,38 @@ class TestRelationSearch:
         with pytest.raises(ValueError):
             relation_search(mode="p3")
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_p1_inputs_without_rows_are_refused(self, order):
+        # A2 and A4 of an order-N input are known on q^1 .. q^(N-2)
+        with pytest.raises(TruncationError,
+                           match=f"order {order} add no rows at quasi-weight 2"):
+            relation_search(mode="p1", weight_bound=4, order=order)
+
+    @pytest.mark.parametrize("order, weight", [(3, 4), (4, 6)])
+    def test_p1_relation_failing_fresh_inputs_is_refused(self, order, weight):
+        # two or three coefficients a draw cannot tell the strata's
+        # monomials apart: the kernel is a truncation artifact
+        with pytest.raises(TruncationError,
+                           match=f"quasi-weight {weight} fails on fresh "
+                                 f"inputs: an artifact of order {order}"):
+            relation_search(mode="p1", weight_bound=weight, order=order)
+
+    @pytest.mark.parametrize("order", [4, 6, 40])
+    def test_p1_stacks_ten_rows_more_than_columns(self, monkeypatch, order):
+        # a draw of order N gives N - 2 rows, not N - 1; there are at
+        # least two draws
+        shapes = []
+
+        def recorded(rows, ncols):
+            shapes.append((len(rows), ncols))
+            return nullspace(rows, ncols)
+
+        monkeypatch.setattr(relations, "nullspace", recorded)
+        relation_search(mode="p1", weight_bound=5, order=order)
+        assert len(shapes) == 4
+        assert all(nrows >= ncols + 10 for nrows, ncols in shapes), shapes
+        assert shapes[0][0] >= 2 * (order - 2)
+
     @pytest.mark.parametrize("bound", [1, 0, -3])
     def test_weight_bound_below_two(self, bound):
         # quasi-weights start at 2: such a bound would scan nothing
@@ -205,8 +280,7 @@ class TestJetRing:
                         24)
         values = relations._jet_symbol_values()
         jets = ladder(u.euler(), len(values[0].symbols) - 1)
-        reference = relations._symbol_ladder(
-            *b_quantities(ladder(u.euler(), 3)))
+        reference = relations._symbol_ladder(*b_quantities(u.euler()))
         assert len(values) == len(reference) == 10
         for poly, series in zip(values, reference):
             value = poly.evaluate(jets)
@@ -229,6 +303,25 @@ class TestJetRing:
 
     def test_search_returns_the_jet_relation(self, result):
         assert repr(result.polynomial) == P2_RELATION
+
+    def test_jacobian_rank(self):
+        # the ten symbols are polynomials in the seven jets u' .. u^(7);
+        # their Jacobian has rank 7 at one point, hence generically, so
+        # they have transcendence degree 7 and at least 3 independent
+        # relations: the transposed Jacobian has nullity 3
+        def partial(terms, i):
+            return {e[:i] + (e[i] - 1,) + e[i + 1:]: e[i] * c
+                    for e, c in terms.items() if e[i]}
+
+        def value(terms, point):
+            return sum(c * prod(map(pow, point, e)) for e, c in terms.items())
+
+        rng = random.Random(0)
+        point = [rng.randint(-9, 9) for _ in range(7)]
+        jac = [[value(partial(v.terms, i), point) for i in range(7)]
+               for v in relations._jet_symbol_values()]
+        assert nullspace(jac, 7) == []
+        assert len(nullspace([list(col) for col in zip(*jac)], 10)) == 3
 
 
 class TestYukawaSideSanity:
