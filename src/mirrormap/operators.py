@@ -1,15 +1,13 @@
 """Hypergeometric delta-operators, Frobenius bases, and normal forms.
 
 Operators are stored as polynomials in the Euler derivation delta = z d/dz
-with polynomial-in-z coefficients, and converted to d/dz form on demand
-via z^k (d/dz)^k = delta(delta-1)...(delta-k+1). A polynomial in z is an
-exact PowerSeries (order BIG_ORDER), so all polynomial arithmetic runs on
-the series product.
+with polynomial-in-z coefficients. ``change_derivation`` rewrites them in
+another derivation D with delta = r D: d/dz (r = z) here, d/dt along the
+mirror map in ``relations``. A polynomial in z is an exact PowerSeries
+(order BIG_ORDER), so all polynomial arithmetic runs on the series product.
 """
 
 from __future__ import annotations
-
-from math import comb, factorial
 
 from .series import (BIG_ORDER, LogSeries, PowerSeries, Q, ZERO, ONE,
                      ladder, rat)
@@ -150,33 +148,22 @@ class DeltaOperator:
         return acc
 
     def to_dz(self):
-        """Coefficients b_j of sum_j b_j(z) z^j-free (d/dz)^j form.
-
-        Returns the list [b_0, ..., b_m] with the operator equal to
-        sum_j b_j(z) (d/dz)^j, using delta^k = sum_j S(k,j) z^j (d/dz)^j.
-        """
-        m = self.degree
-        b = [poly([]) for _ in range(m + 1)]
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            for j in range(0, k + 1):
-                s = stirling2(k, j)
-                if s:
-                    b[j] = b[j] + (c * s).shift(j)
-        return b
+        """[b_0, ..., b_m] with the operator equal to sum_j b_j (d/dz)^j."""
+        return change_derivation(self.coeffs, poly([0, 1]), PowerSeries.deriv)
 
 
-def stirling2(n, k):
-    """Stirling numbers of the second kind."""
-    if k < 0 or k > n:
-        return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    total = 0
-    for j in range(k + 1):
-        total += (-1) ** (k - j) * comb(k, j) * j ** n
-    return total // factorial(k)
+def change_derivation(coeffs, r, step):
+    """[b_0, ..., b_m] with sum_k c_k (r D)^k = sum_j b_j D^j, D = step,
+    for coefficients c_k and r in one differential ring: (r D)^k is
+    expanded by the Leibniz rule r D (P D^j) = r (P' D^j + P D^(j+1))."""
+    zero = coeffs[0] * 0
+    power, b = [zero + 1], [zero] * len(coeffs)  # (r D)^k, the sum
+    for k, c in enumerate(coeffs):
+        if k:
+            power = [r * (step(e) + lower)
+                     for e, lower in zip(power + [zero], [zero] + power)]
+        b = [bj + c * e for bj, e in zip(b, power)] + b[k + 1:]
+    return b
 
 
 def mirror_operator(s: int) -> DeltaOperator:

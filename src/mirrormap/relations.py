@@ -9,9 +9,9 @@ from operator import mul
 
 from .linalg import nullspace
 from .mirror import mirror_data
-from .operators import (RationalFunction, eighth_operator,
-                        fourth_order_reduction, mirror_operator, poly,
-                        second_order_normal_form)
+from .operators import (RationalFunction, change_derivation,
+                        eighth_operator, fourth_order_reduction,
+                        mirror_operator, poly, second_order_normal_form)
 from .series import PowerSeries, Q, TruncationError, ladder, rat
 from .wronskian import (DiffPolynomial, coefficient_rows, monomial_value,
                         schwarzian)
@@ -51,19 +51,13 @@ def b_quantities(u1, step=PowerSeries.euler):
 def a_quantities(z: PowerSeries):
     """A2 = Q2(z)z'^2 + 5{z,t} and A4, the (Q2, Q0) of the quintic operator
     pulled back to t = log q, ' = delta_q, at a series z(q) of valuation 1:
-    with r = z/z', delta_z = r delta_q, and sum_k c_k(z) delta_z^k is
-    expanded in powers of delta_q."""
-    r, zero = z / z.euler(), z * 0
-    power, b = [PowerSeries.one(z.var)], [zero] * 5  # (r delta_q)^k, the sum
-    for k, c in enumerate(mirror_operator(5).coeffs):
-        if k:  # r delta_q P = r (P' + P delta_q), term by term
-            power = [r * (e.euler() + lower)
-                     for e, lower in zip(power + [zero], [zero] + power)]
-        cz = c.compose(z)
-        b = [bj + cz * e for bj, e in zip(b, power)] + b[k + 1:]
-    inv = 1 / b[4]
-    return fourth_order_reduction(b[3] * inv, b[2] * inv, b[1] * inv,
-                                  b[0] * inv, PowerSeries.euler)
+    delta_z = r delta_q with r = z/z', so sum_k c_k(z) delta_z^k is the
+    change of derivation to delta_q."""
+    coeffs = [c.compose(z) for c in mirror_operator(5).coeffs]
+    *low, lead = change_derivation(coeffs, z / z.euler(), PowerSeries.euler)
+    inv = 1 / lead
+    a4, a3, a2, a1 = (b * inv for b in low)
+    return fourth_order_reduction(a1, a2, a3, a4, PowerSeries.euler)
 
 
 @dataclass(frozen=True)
@@ -128,7 +122,9 @@ def verify_eq_schwarzian(s: int, order: int) -> PowerSeries:
 
 def verify_eq_second(order: int) -> PowerSeries:
     """Residual of 2Q(z)(dz/dt)^2 + {z,t} = (2/5)u'' - (1/10)u'^2,
-    u = log K; the Laurent principal parts on the left cancel exactly."""
+    u = log K; the Laurent principal parts on the left cancel exactly.
+    This is the second-order half of the duality divided by 5: the left
+    side is A2/5 (Q2 = 10Q), the right side B2/5."""
     z, K = _quintic_pair(order)
     u1, u2 = ladder(K.euler() / K, 1)
     lhs = _schwarzian_form(rational_q(), z)
@@ -138,7 +134,9 @@ def verify_eq_second(order: int) -> PowerSeries:
 
 def verify_eq_fourth(order: int) -> PowerSeries:
     """Residual of Qtilde(z)(z'/z)^4 =
-    (175K'^4 - 280KK'^2K'' + 49K^2K''^2 + 70K^2K'K''' - 10K^3K'''')/K^4."""
+    (175K'^4 - 280KK'^2K'' + 49K^2K''^2 + 70K^2K'K''' - 10K^3K'''')/K^4,
+    the duality's Laguerre-Forsyth invariant: each side is 100 theta_4,
+    theta_4 = X4 - (3/10)X2'' - (9/100)X2^2, of (A2, A4) and (B2, B4)."""
     z, K = _quintic_pair(order)
     _, k1, k2, k3, k4 = ladder(K, 4)
     lhs = rational_q_tilde().eval_series(z) * (z.euler() / z) ** 4

@@ -314,9 +314,8 @@ class PowerSeries:
         return PowerSeries(self.var, self.val, cs, self.order)
 
     def deriv(self):
-        """Plain d/dx; the truncation order drops by one."""
-        cs = [rat(self.val + i) * c for i, c in enumerate(self.coeffs)]
-        return PowerSeries(self.var, self.val - 1, cs, self.order - 1)
+        """Plain d/dx = x^-1 (x d/dx); the truncation order drops by one."""
+        return self.euler().shift(-1)
 
     # -- composition, reversion, exp/log ----------------------------------
 
@@ -553,10 +552,8 @@ class LogSeries:
         return cur
 
     def deriv(self):
-        """d/dx: differentiates both the parts and the logs."""
-        parts = [self.part(j).deriv() + self.part(j + 1).shift(-1)
-                 for j in range(len(self.parts))]
-        return LogSeries(parts)
+        """d/dx = x^-1 (x d/dx), on the parts and the logs alike."""
+        return LogSeries([p.shift(-1) for p in self.euler().parts])
 
 
 def ladder(f, count, step=methodcaller("euler")):

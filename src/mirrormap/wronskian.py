@@ -1,4 +1,4 @@
-"""Wronskian formalism: determinants, the R[t] operator, Schwarzians."""
+"""Wronskian formalism: determinants, the R[t] operator, the Schwarzian."""
 
 from __future__ import annotations
 
@@ -78,27 +78,11 @@ def wronskian(fs, decide=True):
     return w
 
 
-def _schwarzian(f1, step):
-    """f'''/f' - (3/2)(f''/f')^2 from f' and the derivation ' = step."""
-    _, f2, f3 = ladder(f1, 2, step)
+def schwarzian(f: PowerSeries) -> PowerSeries:
+    """{f, t} = f'''/f' - (3/2)(f''/f')^2 with ' = delta_q (t = log q)."""
+    f1, f2, f3 = ladder(f.euler(), 2)
     r = f2 / f1
     return f3 / f1 - Q(3, 2) * (r * r)
-
-
-def schwarzian(f: PowerSeries) -> PowerSeries:
-    """{f, t} with ' = delta_q (t = log q)."""
-    return _schwarzian(f.euler(), PowerSeries.euler)
-
-
-def _dz(f) -> PowerSeries:
-    """d/dz of a series whose logs die under differentiation."""
-    return _as_log(f).deriv().power_part()
-
-
-def schwarzian_dz(f) -> PowerSeries:
-    """Schwarzian with plain d/dz derivatives (f may be a LogSeries whose
-    logs die under differentiation, e.g. f_1/f_0)."""
-    return _schwarzian(_dz(f), _dz)
 
 
 class DiffPolynomial:
@@ -154,9 +138,6 @@ class DiffPolynomial:
         return DiffPolynomial(self.symbols, self.weights, terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        return self if n == 1 else self * self ** (n - 1)
 
     def total_derivative(self):
         """The jet ring's derivation, each symbol to the next, for constant

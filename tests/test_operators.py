@@ -9,9 +9,10 @@ from mirrormap.operators import (DeltaOperator, RationalFunction,
                                  eighth_operator, fourth_order_normal_form,
                                  frobenius_basis, g_functions,
                                  mirror_operator, pfq_series, poly,
-                                 second_order_normal_form, stirling2,
+                                 second_order_normal_form,
                                  symmetric_square_check)
-from mirrormap.series import LogSeries, PowerSeries, Q, rat
+from mirrormap.series import (BIG_ORDER, LogSeries, PowerSeries, Q, ladder,
+                              rat)
 
 
 _rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -80,9 +81,35 @@ class TestRationalFunction:
         assert value.order == 7 and (value - (1 + 2 * s * s)).is_zero()
 
 
+#: Stirling numbers of the second kind S(k, j), j = 0 .. k
+STIRLING2 = ([1], [0, 1], [0, 1, 1], [0, 1, 3, 1], [0, 1, 7, 6, 1],
+             [0, 1, 15, 25, 10, 1])
+
+_operators = st.lists(_polys, min_size=1, max_size=6).filter(
+    lambda cs: not all(c.is_zero() for c in cs)).map(DeltaOperator)
+_laurent_series = st.builds(
+    lambda v, cs, order: PowerSeries("z", v, cs, order or v + len(cs)),
+    st.integers(-2, 3), st.lists(_rationals, max_size=8),
+    st.sampled_from([0, 0, 0, BIG_ORDER]))
+
+
 class TestStirlingConversion:
-    def test_stirling_values(self):
-        assert stirling2(4, 2) == 7 and stirling2(5, 3) == 25
+    def test_delta_powers_have_stirling_coefficients(self):
+        # delta^k = sum_j S(k, j) z^j (d/dz)^j
+        for k, row in enumerate(STIRLING2):
+            b = DeltaOperator([0] * k + [1]).to_dz()
+            expect = [PowerSeries.monomial("z", j, s) for j, s in
+                      enumerate(row)]
+            assert [(p.val, p.coeffs, p.order) for p in b] == \
+                [(p.val, p.coeffs, p.order) for p in expect]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_operators, _laurent_series)
+    def test_dz_form_applies_like_the_operator(self, op, f):
+        derivs = ladder(f, op.degree, PowerSeries.deriv)
+        total = sum((b * d for b, d in zip(op.to_dz(), derivs)),
+                    PowerSeries.zero("z"))
+        assert op.apply(f) == total
 
     def test_delta_power_as_dz(self):
         # delta^2 f = z f' + z^2 f'' checked on f = z^3

@@ -27,9 +27,7 @@ class TestRationalData:
     def test_q_matches_normal_form(self):
         # the closed form equals Q2/10 from the reduced fourth-order shape
         q2, _ = fourth_order_normal_form(mirror_operator(5))
-        lhs = rational_q().series("z", 10)
-        rhs = q2.series("z", 10)
-        assert (10 * lhs - rhs).is_zero()
+        assert 10 * rational_q() == q2
 
     def test_q_tilde_pole_structure(self):
         s = rational_q_tilde().series("z", 5)
@@ -90,6 +88,31 @@ class TestCoupledIdentities:
     def test_duality(self):
         r2, r4 = verify_duality(20)
         assert r2.is_zero() and r4.is_zero()
+
+    def test_eq16_and_eq25_are_the_duality(self):
+        # eq16 is the second-order half of the duality divided by 5, and
+        # eq25 is its Laguerre-Forsyth invariant
+        # theta_4 = X4 - (3/10)X2'' - (9/100)X2^2, times 100, on each side
+        z, K = relations._quintic_pair(24)
+        a2, a4 = a_quantities(z)
+        u1, u2 = ladder(K.euler() / K, 1)
+        b2, b4 = b_quantities(u1)
+        sides = [(5 * relations._schwarzian_form(rational_q(), z), a2),
+                 (5 * (Q(2, 5) * u2 - Q(1, 10) * u1 * u1), b2)]
+        for side, x2 in sides:
+            assert (side.val, side.order, side.coeffs) == \
+                (x2.val, x2.order, x2.coeffs)
+
+        def theta4(x2, x4):
+            return 100 * (x4 - Q(3, 10) * x2.euler(2) - Q(9, 100) * x2 * x2)
+
+        _, k1, k2, k3, k4 = ladder(K, 4)
+        z_side = rational_q_tilde().eval_series(z) * (z.euler() / z) ** 4
+        k_side = (175 * k1 ** 4 - 280 * K * k1 * k1 * k2
+                  + 49 * K * K * k2 * k2 + 70 * K * K * k1 * k3
+                  - 10 * K ** 3 * k4) / K ** 4
+        assert z_side == theta4(a2, a4) and k_side == theta4(b2, b4)
+        assert not theta4(a2, a4).is_zero()
 
     def test_schwarzian_identity_detects_mutation(self):
         # perturbing the potential must break the identity: the check is

@@ -269,6 +269,15 @@ def test_mul_matches_fraction_schoolbook(a, b):
         assert gcd(int(x.numerator), int(x.denominator)) == 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(_series())
+def test_deriv_matches_the_plain_rule(f):
+    # n c_n x^n -> n c_n x^(n-1), exact series staying exact
+    order = f.order - 1 if f.order < BIG_ORDER else BIG_ORDER
+    dense = [(f.val + i) * _frac(c) for i, c in enumerate(f.coeffs)]
+    assert _as_tuple(f.deriv()) == _normalised(f.val - 1, dense, order)
+
+
 def _normalised(val, dense, order):
     """(val, coeffs, order) of a dense Fraction window, as PowerSeries
     stores it: leading and trailing zeros stripped."""
