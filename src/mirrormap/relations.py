@@ -13,8 +13,8 @@ from .operators import (RationalFunction, change_derivation,
                         eighth_operator, fourth_order_reduction,
                         mirror_operator, poly, second_order_normal_form)
 from .series import PowerSeries, Q, TruncationError, ladder, rat
-from .wronskian import (DiffPolynomial, coefficient_rows, monomial_value,
-                        schwarzian)
+from .wronskian import (DiffPolynomial, chain_ring, coefficient_rows,
+                        monomial_value, schwarzian)
 from .yukawa import yukawa_coupling
 
 C5 = 5 ** 5  # the natural scale of the quintic family's singular point
@@ -150,11 +150,13 @@ def verify_eq_fourth(order: int) -> PowerSeries:
 # ---------------------------------------------------------------------------
 # relation search
 
-P2_SYMBOLS = ("B2", "B2'", "B2''", "B2'''", "B2''''", "B2'''''",
-              "B4", "B4'", "B4''", "B4'''")
-P1_SYMBOLS = ("A2", "A2'", "A2''", "A2'''", "A2''''", "A2'''''",
-              "A4", "A4'", "A4''", "A4'''")
-SEARCH_WEIGHTS = (2, 3, 4, 5, 6, 7, 4, 5, 6, 7)
+#: Each ring as chains (base, base weight, length), which ``chain_ring``
+#: names base, base', base'', ... The search rings hold the second- and
+#: fourth-order invariants with five and three derivatives; the jet ring
+#: Q[u', ..., u^(7)] is where B2''''' and B4''' end.
+P2_CHAINS = (("B2", 2, 6), ("B4", 4, 4))
+P1_CHAINS = (("A2", 2, 6), ("A4", 4, 4))
+JET_CHAINS = (("u'", 1, 7),)
 
 
 @dataclass
@@ -216,27 +218,29 @@ def _random_series(rng: random.Random, order: int) -> PowerSeries:
     return PowerSeries("q", 1, coeffs, order)
 
 
-def _symbol_ladder(base2, base4, step=PowerSeries.euler):
-    """The ten values the symbols stand for, from their two bases."""
-    return ladder(base2, 5, step) + ladder(base4, 3, step)
+def _chain_values(chains, bases, step=PowerSeries.euler):
+    """The values the chains' symbols stand for: one base per chain, then
+    its derivatives by ``step``."""
+    return [value for (_, _, length), base in zip(chains, bases)
+            for value in ladder(base, length - 1, step)]
 
 
 def _jet_symbol_values():
-    """The ten p2 symbols in the jet ring Q[u', u'', ..., u^(7)], which
-    B2''''' and B4''' reach, with ' the total derivative u^(k) -> u^(k+1)."""
-    jets = tuple("u" + "'" * k for k in range(1, 8))
+    """The p2 symbols in the jet ring, with ' the total derivative
+    u^(k) -> u^(k+1)."""
+    jets, weights = chain_ring(JET_CHAINS)
     d = DiffPolynomial.total_derivative
-    u1 = DiffPolynomial.monomial(jets, range(1, 8), (1,) + (0,) * 6)
-    return _symbol_ladder(*b_quantities(u1, d), d)
+    u1 = DiffPolynomial.monomial(jets, weights, (1,) + (0,) * (len(jets) - 1))
+    return _chain_values(P2_CHAINS, b_quantities(u1, d), d)
 
 
-#: mode -> (symbols, the two bases on one random input z, or None where the
-#: jet ring decides the search, the two bases of the dual side: the actual
-#: mirror map for p2, the actual log-Yukawa coupling for p1). a_quantities
-#: is looked up at call time, so a tracer that rebinds it sees p1's calls.
+#: mode -> (chains, the bases on one random input z, or None where the jet
+#: ring decides the search, the bases of the dual side: the actual mirror
+#: map for p2, the actual log-Yukawa coupling for p1). a_quantities is
+#: looked up at call time, so a tracer that rebinds it sees p1's calls.
 _SEARCH_MODES = {
-    "p2": (P2_SYMBOLS, None, lambda ab: (ab.A2, ab.A4)),
-    "p1": (P1_SYMBOLS, lambda z: a_quantities(z), lambda ab: (ab.B2, ab.B4)),
+    "p2": (P2_CHAINS, None, lambda ab: (ab.A2, ab.A4)),
+    "p1": (P1_CHAINS, lambda z: a_quantities(z), lambda ab: (ab.B2, ab.B4)),
 }
 
 
@@ -258,7 +262,7 @@ def _stack_rows(monos, value_sets):
 
 def relation_search(mode: str = "p2", weight_bound: int = 12,
                     order: int = 40, seed: int = 0) -> RelationSearchResult:
-    """Scan quasi-weight strata for a differential polynomial in the ten
+    """Scan quasi-weight strata for a differential polynomial in the mode's
     symbols that vanishes identically on its native side (arbitrary u for
     mode p2, arbitrary z for mode p1), then check it there and certify it
     on the actual mirror-map data of the dual side.
@@ -275,18 +279,19 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
     if weight_bound < 2:
         raise ValueError(f"weight bound {weight_bound} is below the lowest "
                          "quasi-weight 2")
-    symbols, bases, dual_bases = _SEARCH_MODES[mode]
+    chains, bases, dual_bases = _SEARCH_MODES[mode]
+    symbols, weights = chain_ring(chains)
     rng = random.Random(seed)
 
     def draw():
         z = _random_series(rng, order)
         # an input of order 1 keeps no term, so it has no symbol values
-        return [(_symbol_ladder(*bases(z)), {})] if z else []
+        return [(_chain_values(chains, bases(z)), {})] if z else []
 
     value_sets = [] if bases else [(_jet_symbol_values(), {})]
     scanned, found = [], {}
     for weight in range(2, weight_bound + 1):
-        monos = _monomials(SEARCH_WEIGHTS, weight)
+        monos = _monomials(weights, weight)
         if not monos:
             continue
         scanned.append(weight)
@@ -301,15 +306,15 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
             rows += more
         # the next stratum's monomials extend parents at most the heaviest
         # symbol's weight lighter than themselves; drop the rest
-        lightest = weight + 1 - max(SEARCH_WEIGHTS)
+        lightest = weight + 1 - max(weights)
         value_sets = [
             (values, {e: v for e, v in memo.items()
-                      if sum(map(mul, SEARCH_WEIGHTS, e)) >= lightest})
+                      if sum(map(mul, weights, e)) >= lightest})
             for values, memo in value_sets]
         basis = nullspace(rows, len(monos))
         if not basis:
             continue
-        poly = DiffPolynomial(symbols, SEARCH_WEIGHTS,
+        poly = DiffPolynomial(symbols, weights,
                               dict(zip(monos, map(rat, basis[0]))))
         checks = draw() + draw() if bases else value_sets
         if not all(poly.evaluate(values).is_zero() for values, _ in checks):
@@ -319,7 +324,7 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
         # the coupled-equation content, not a formal consequence of the
         # search: the relation must also kill the dual side's symbols
         ab = ab_quantities(max(16, order // 2))
-        dual = poly.evaluate(_symbol_ladder(*dual_bases(ab))).is_zero()
+        dual = poly.evaluate(_chain_values(chains, dual_bases(ab))).is_zero()
         found = {"weight": weight, "polynomial": poly,
                  "stratum_size": len(monos),
                  "degree_set": tuple(poly.degree_set()),

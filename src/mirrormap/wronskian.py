@@ -85,6 +85,17 @@ def schwarzian(f: PowerSeries) -> PowerSeries:
     return f3 / f1 - Q(3, 2) * (r * r)
 
 
+def chain_ring(chains):
+    """The symbols and quasi-weights of a differential-polynomial ring given
+    as chains (base, base weight, length): base, base', base'', ... in ASCII
+    primes, each one weight heavier than the last."""
+    symbols, weights = [], []
+    for base, weight, length in chains:
+        symbols += [base + "'" * k for k in range(length)]
+        weights += range(weight, weight + length)
+    return tuple(symbols), tuple(weights)
+
+
 class DiffPolynomial:
     """Exact polynomial in indexed derivative symbols with quasi-weights.
 
@@ -140,17 +151,25 @@ class DiffPolynomial:
     __rmul__ = __mul__
 
     def total_derivative(self):
-        """The jet ring's derivation, each symbol to the next, for constant
-        coefficients; a term past the last symbol raises, never drops."""
+        """The ring's derivation for constant coefficients: each symbol to
+        its successor in its chain, the name with one more prime. A term at
+        the end of a chain raises, never drops or crosses into the next."""
+        index = {s: i for i, s in enumerate(self.symbols)}
+        succ = [index.get(s + "'") for s in self.symbols]
         terms = {}
         for e, c in self.terms.items():
-            if e[-1]:
-                raise TruncationError(f"the derivative of {self.symbols[-1]}"
-                                      " is past the last symbol")
-            for i, k in enumerate(e[:-1]):
-                if k:
-                    d = e[:i] + (k - 1, e[i + 1] + 1) + e[i + 2:]
-                    terms[d] = terms.get(d, 0) + k * c
+            for i, k in enumerate(e):
+                if not k:
+                    continue
+                j = succ[i]
+                if j is None:
+                    raise TruncationError(
+                        f"the derivative of {self.symbols[i]} is past the "
+                        "end of its chain")
+                d = list(e)
+                d[i], d[j] = k - 1, d[j] + 1
+                d = tuple(d)
+                terms[d] = terms.get(d, 0) + k * c
         return DiffPolynomial(self.symbols, self.weights, terms)
 
     def map_coeffs(self, fn):
@@ -236,13 +255,12 @@ def r_operator(basis):
     killing half the subsets).  Normalized so the leading monomial (the
     reverse-lex greatest one containing t^(2m-1), whose coefficient is a
     constant) has coefficient 1.  Returns a DiffPolynomial in the symbols
-    t^(1)..t^(2m-1) with log-free series coefficients.
+    t', t'', ..., t^(2m-1) with log-free series coefficients.
     """
     basis = [_as_log(f) for f in basis]
     m = len(basis)
     nsym = 2 * m - 1
-    symbols = tuple(f"t{l}" for l in range(1, nsym + 1))
-    weights = tuple(range(1, nsym + 1))
+    symbols, weights = chain_ring((("t'", 1, nsym),))
     derivs = [ladder(f, nsym, LogSeries.deriv) for f in basis]
 
     def sym_entry(k, j):

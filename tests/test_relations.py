@@ -12,15 +12,18 @@ from mirrormap.mirror import mirror_data, verify_hodge_identity
 from mirrormap.operators import (RationalFunction, fourth_order_normal_form,
                                  mirror_operator, poly,
                                  second_order_normal_form)
-from mirrormap.relations import (P2_SYMBOLS, SEARCH_WEIGHTS, a_quantities,
+from mirrormap.relations import (P1_CHAINS, P2_CHAINS, a_quantities,
                                  ab_quantities, b_quantities,
                                  rational_q, rational_q_tilde,
                                  relation_search, verify_duality,
                                  verify_eq_fourth, verify_eq_schwarzian,
                                  verify_eq_second)
 from mirrormap.series import Q, PowerSeries, TruncationError, ladder, rat
-from mirrormap.wronskian import DiffPolynomial, schwarzian
+from mirrormap.wronskian import DiffPolynomial, chain_ring, schwarzian
 from mirrormap.yukawa import verify_yukawa_identity, yukawa_coupling
+
+P2_SYMBOLS, P2_WEIGHTS = chain_ring(P2_CHAINS)
+_, P1_WEIGHTS = chain_ring(P1_CHAINS)
 
 
 class TestRationalData:
@@ -258,7 +261,7 @@ def test_stacking_forms_each_monomial_once(monkeypatch):
 
     def stack(monos, value_sets):
         nonlocal stacking
-        weight = sum(map(mul, relations.SEARCH_WEIGHTS, monos[0]))
+        weight = sum(map(mul, P1_WEIGHTS, monos[0]))
         for values, _ in value_sets:
             largest[id(values)] = weight
         stacking = True
@@ -274,7 +277,7 @@ def test_stacking_forms_each_monomial_once(monkeypatch):
 
     def products_through(weight):
         return sum(sum(e) > 1 for w in range(2, weight + 1)
-                   for e in relations._monomials(relations.SEARCH_WEIGHTS, w))
+                   for e in relations._monomials(P1_WEIGHTS, w))
 
     assert 0 < products <= sum(map(products_through, largest.values()))
 
@@ -303,7 +306,8 @@ class TestJetRing:
                         24)
         values = relations._jet_symbol_values()
         jets = ladder(u.euler(), len(values[0].symbols) - 1)
-        reference = relations._symbol_ladder(*b_quantities(u.euler()))
+        reference = relations._chain_values(P2_CHAINS,
+                                            b_quantities(u.euler()))
         assert len(values) == len(reference) == 10
         for poly, series in zip(values, reference):
             value = poly.evaluate(jets)
@@ -314,15 +318,44 @@ class TestJetRing:
         # u-monomials) carries exactly one
         values, memo = relations._jet_symbol_values(), {}
         for weight in range(2, 13):
-            monos = relations._monomials(SEARCH_WEIGHTS, weight)
+            monos = relations._monomials(P2_WEIGHTS, weight)
             rows = relations._stack_rows(monos, [(values, memo)])
             basis = nullspace(rows, len(monos))
             assert len(basis) == (weight == 12), weight
         assert (len(rows), len(monos)) == (64, 40)
-        poly = DiffPolynomial(P2_SYMBOLS, SEARCH_WEIGHTS,
+        poly = DiffPolynomial(P2_SYMBOLS, P2_WEIGHTS,
                               dict(zip(monos, map(rat, basis[0]))))
         assert len(poly.terms) == 25 and repr(poly) == P2_RELATION
         assert poly.evaluate(values).is_zero()
+
+    def test_past_the_first_relation(self):
+        # strata 12-16: nullity, monomials and rows (u-monomials)
+        values, memo = relations._jet_symbol_values(), {}
+        table, kernels = [], {}
+        for weight in range(12, 17):
+            monos = relations._monomials(P2_WEIGHTS, weight)
+            rows = relations._stack_rows(monos, [(values, memo)])
+            basis = nullspace(rows, len(monos))
+            kernels[weight] = monos, basis
+            table.append((len(basis), len(monos), len(rows)))
+        assert table == [(1, 40, 64), (1, 48, 81), (3, 68, 104),
+                         (4, 84, 129), (9, 114, 163)]
+        monos, basis = kernels[12]
+        r12 = DiffPolynomial(P2_SYMBOLS, P2_WEIGHTS,
+                             dict(zip(monos, map(rat, basis[0]))))
+        # R12 stops at B2'''' and B4'', so R12' stays inside the chains,
+        # vanishes on the jets and spans stratum 13's one-dimensional kernel
+        d1 = r12.total_derivative()
+        assert len(d1.terms) == 38 and d1.weight_set() == [13]
+        assert d1.evaluate(values).is_zero()
+        monos, (kernel,) = kernels[13]
+        coords = [d1.terms.get(e, 0) for e in monos]
+        i = next(i for i, k in enumerate(kernel) if k)
+        assert coords[i] and all(a * kernel[i] == k * coords[i]
+                                 for a, k in zip(coords, kernel))
+        # R12'' needs B4'''' (and B2^(6)), past the ends of the chains
+        with pytest.raises(TruncationError, match="of B4''' is"):
+            d1.total_derivative()
 
     def test_search_returns_the_jet_relation(self, result):
         assert repr(result.polynomial) == P2_RELATION
@@ -345,6 +378,28 @@ class TestJetRing:
                for v in relations._jet_symbol_values()]
         assert nullspace(jac, 7) == []
         assert len(nullspace([list(col) for col in zip(*jac)], 10)) == 3
+
+
+@pytest.mark.parametrize("source", ["random 0", "random 1", "mirror"])
+def test_p1_absolute_invariant_is_a_function_of_z(source):
+    # theta_4 = A4 - (3/10)A2'' - (9/100)A2^2, N1 = 32A2theta_4^2
+    # - 40theta_4theta_4'' + 45theta_4'^2 (weight 10) and the weight-0
+    # I1 = N1^2/(1024theta_4^5) is f(z) = -5p^2/(16z(156250000z^2 + 509375z
+    # + 46)^5) on any input z: on a random one as on the mirror map
+    z = (mirror_data(5, 30).z_of_q if source == "mirror"
+         else relations._random_series(random.Random(int(source[-1])), 30))
+    p = poly([529, -49484500, 45050781250, -2326733398437500,
+              988330841064453125, -1326560974121093750000,
+              21457672119140625000000])
+    f = RationalFunction(-5 * p * p,
+                         poly([0, 16]) * poly([46, 509375, 156250000]) ** 5)
+    a2, a4 = a_quantities(z)
+    theta4 = a4 - Q(3, 10) * a2.euler(2) - Q(9, 100) * a2 * a2
+    t1, t2 = theta4.euler(), theta4.euler(2)
+    n1 = 32 * a2 * theta4 * theta4 - 40 * theta4 * t2 + 45 * t1 * t1
+    i1, fz = n1 * n1 / (1024 * theta4 ** 5), f.eval_series(z)
+    assert i1 == fz
+    assert min(i1.order, fz.order) - min(i1.val, fz.val) >= 27
 
 
 class TestYukawaSideSanity:

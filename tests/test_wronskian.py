@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from mirrormap.linalg import nullspace
 from mirrormap.operators import frobenius_basis, second_order_normal_form, \
     mirror_operator
+from mirrormap.relations import P2_CHAINS
 from mirrormap.series import (BIG_ORDER, LogSeries, PowerSeries, Q,
                                TruncationError, rat)
 from mirrormap.wronskian import (DiffPolynomial, IndeterminateWronskian,
-                                 coefficient_dependence, monomial_value,
-                                 r_operator, r_substitute, schwarzian,
-                                 wronskian)
+                                 chain_ring, coefficient_dependence,
+                                 monomial_value, r_operator, r_substitute,
+                                 schwarzian, wronskian)
 
 
 def ps(coeffs, val=0, order=None, var="z"):
@@ -188,8 +189,7 @@ class TestDiffPolynomial:
                         "coefficient": "1/3", "weight": 8}]
 
 
-JETS = ("u1", "u2", "u3", "u4")
-JET_WTS = (1, 2, 3, 4)
+JETS, JET_WTS = chain_ring((("u'", 1, 4),))
 
 
 def jet(exps, coeff=1):
@@ -198,7 +198,8 @@ def jet(exps, coeff=1):
 
 @st.composite
 def jet_polys(draw):
-    """Random polynomials in u1 .. u3 (u4 stays free for one derivative)."""
+    """Random polynomials in u' .. u''' (u'''' stays free for one
+    derivative)."""
     terms = draw(st.dictionaries(
         st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2),
                   st.just(0)),
@@ -217,7 +218,7 @@ class TestTotalDerivative:
             assert d.terms == {tuple(e): 1}
 
     def test_chain_rule_on_a_monomial(self):
-        # (3/2 u1^2 u3)' = 3 u1 u2 u3 + 3/2 u1^2 u4
+        # (3/2 u'^2 u''')' = 3 u' u'' u''' + 3/2 u'^2 u''''
         d = jet((2, 0, 1, 0), Q(3, 2)).total_derivative()
         assert d.terms == {(1, 1, 1, 0): 3, (2, 0, 0, 1): Q(3, 2)}
 
@@ -232,6 +233,26 @@ class TestTotalDerivative:
 
     @pytest.mark.parametrize("exps", [(0, 0, 0, 1), (1, 0, 0, 2)])
     def test_refuses_the_slot_past_the_top(self, exps):
-        # the term that needs u5 is refused even beside terms that do not
-        with pytest.raises(TruncationError, match="u4"):
+        # the term that needs u^(5) is refused even beside terms that do not
+        with pytest.raises(TruncationError, match="of u'''' is"):
             (jet((0, 1, 0, 0)) + jet(exps)).total_derivative()
+
+    def test_stays_inside_each_chain(self):
+        # the p2 ring B2 .. B2^(5), B4 .. B4''': each symbol's derivative is
+        # its successor in its own chain, and B2^(5)' is not B4
+        symbols, weights = chain_ring(P2_CHAINS)
+
+        def mono(name):
+            exps = [0] * len(symbols)
+            exps[symbols.index(name)] = 1
+            return DiffPolynomial.monomial(symbols, weights, exps)
+
+        assert mono("B2''''").total_derivative().terms == \
+            mono("B2'''''").terms
+        assert mono("B4''").total_derivative().terms == mono("B4'''").terms
+        with pytest.raises(TruncationError, match="of B2''''' is"):
+            mono("B2'''''").total_derivative()
+
+    def test_chain_ring_names_and_weights(self):
+        assert chain_ring((("B2", 2, 3), ("t'", 1, 2))) == (
+            ("B2", "B2'", "B2''", "t'", "t''"), (2, 3, 4, 1, 2))
