@@ -9,6 +9,8 @@ mirror map in ``relations``. A polynomial in z is an exact PowerSeries
 
 from __future__ import annotations
 
+from math import comb, gcd
+
 from .series import (BIG_ORDER, LogSeries, PowerSeries, Q, ZERO, ONE,
                      ladder, rat)
 
@@ -188,20 +190,30 @@ def frobenius_basis(s: int, order: int):
     """Fundamental solutions f_0..f_{s-2} of the mirror operator at z=0.
 
     Built from the H-jet of the deformed coefficient ratio
-    prod_{k<=s*l}(sH+k) / prod_{k<=l}(H+k)^s, a PowerSeries in H of order
-    s-1; the jet component g_m gives f_j = sum_m g_m log^{j-m} z/(j-m)!.
+    prod_{k<=s*l}(sH+k) / prod_{k<=l}(H+k)^s modulo H^r, r = s-1, kept as
+    integer numerators over one denominator. Step l multiplies by sH+k for
+    s(l-1) < k <= sl, and by 1/(l+H)^s = sum_m (-1)^m C(s+m-1, m) H^m/l^(s+m):
+    the numerators by sum_{m<r} (-1)^m C(s+m-1, m) l^(r-1-m) H^m, the
+    denominator by l^(s+r-1). The jet component g_m gives
+    f_j = sum_m g_m log^{j-m} z/(j-m)!.
     """
     if s < 3:
         raise ValueError("s >= 3 required")
     r = s - 1
-    a = PowerSeries.one("H", r)
-    g = [[a.coeff(m)] for m in range(r)]
+    signed = [(-1) ** m * comb(s + m - 1, m) for m in range(r)]
+    num, den = [1] + [0] * (r - 1), 1
+    g = [[Q(c)] for c in num]
     for l in range(1, order):
         for k in range(s * (l - 1) + 1, s * l + 1):
-            a = a * PowerSeries("H", 0, (k, s), r)
-        a = a * PowerSeries("H", 0, (l, 1), r).inverse() ** s
+            num = [k * c + s * lower for c, lower in zip(num, [0] + num)]
+        inv = [c * l ** (r - 1 - m) for m, c in enumerate(signed)]
+        num = [sum(num[i] * inv[m - i] for i in range(m + 1))
+               for m in range(r)]
+        den *= l ** (s + r - 1)
+        common = gcd(den, *num)
+        num, den = [c // common for c in num], den // common
         for m in range(r):
-            g[m].append(a.coeff(m))
+            g[m].append(Q(num[m], den))
     gs = [PowerSeries("z", 0, g[m], order) for m in range(r)]
     basis = []
     for j in range(r):

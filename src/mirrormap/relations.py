@@ -151,11 +151,14 @@ def verify_eq_fourth(order: int) -> PowerSeries:
 # relation search
 
 #: Each ring as chains (base, base weight, length), which ``chain_ring``
-#: names base, base', base'', ... The search rings hold the second- and
-#: fourth-order invariants with five and three derivatives; the jet ring
-#: Q[u', ..., u^(7)] is where B2''''' and B4''' end.
+#: names base, base', base'', ... p2 holds the second- and fourth-order
+#: invariants with five and three derivatives; the jet ring
+#: Q[u', ..., u^(7)] is where B2''''' and B4''' end. p1 holds A2, A2' and
+#: T4 = theta_4 with three derivatives: the A2 and theta_4 chains generate
+#: the ring of the (A2, A4) chains, and p1's relations form a principal
+#: ideal whose generator uses only these six symbols (see README).
 P2_CHAINS = (("B2", 2, 6), ("B4", 4, 4))
-P1_CHAINS = (("A2", 2, 6), ("A4", 4, 4))
+P1_CHAINS = (("A2", 2, 2), ("T4", 4, 4))
 JET_CHAINS = (("u'", 1, 7),)
 
 
@@ -234,13 +237,36 @@ def _jet_symbol_values():
     return _chain_values(P2_CHAINS, b_quantities(u1, d), d)
 
 
+def _theta4_pair(x2, x4):
+    """(X2, theta_4) of a (Q2, Q0) pair in delta_q, with theta_4 =
+    X4 - (3/10)X2'' - (9/100)X2^2 the Laguerre-Forsyth invariant."""
+    return x2, x4 - Q(3, 10) * x2.euler(2) - Q(9, 100) * x2 * x2
+
+
+def _p1_bases(z):
+    """A2 and theta_4 on an input z from the z-side closed forms of eq16
+    and eq25, with no pullback: A2 = 5(2Q(z)z'^2 + {z,t}) and
+    theta_4 = Qtilde(z)(z'/z)^4/100."""
+    return (5 * _schwarzian_form(rational_q(), z),
+            rational_q_tilde().eval_series(z) * (z.euler() / z) ** 4 / 100)
+
+
+def _p1_dual_bases(order):
+    """(B2, theta_4) of the actual log-Yukawa coupling."""
+    K = yukawa_coupling(order + 1)
+    return _theta4_pair(*b_quantities(K.euler() / K))
+
+
 #: mode -> (chains, the bases on one random input z, or None where the jet
-#: ring decides the search, the bases of the dual side: the actual mirror
-#: map for p2, the actual log-Yukawa coupling for p1). a_quantities is
-#: looked up at call time, so a tracer that rebinds it sees p1's calls.
+#: ring decides the search, and the bases of the dual side at an order,
+#: built from that side alone: (A2, A4) of the actual mirror map for p2,
+#: (B2, theta_4) of the actual log-Yukawa coupling for p1). The library
+#: functions they call are looked up at call time, so a tracer that
+#: rebinds them sees the calls.
 _SEARCH_MODES = {
-    "p2": (P2_CHAINS, None, lambda ab: (ab.A2, ab.A4)),
-    "p1": (P1_CHAINS, lambda z: a_quantities(z), lambda ab: (ab.B2, ab.B4)),
+    "p2": (P2_CHAINS, None,
+           lambda order: a_quantities(mirror_data(5, order + 1).z_of_q)),
+    "p1": (P1_CHAINS, _p1_bases, _p1_dual_bases),
 }
 
 
@@ -323,8 +349,9 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
                 f"inputs: an artifact of order {order}")
         # the coupled-equation content, not a formal consequence of the
         # search: the relation must also kill the dual side's symbols
-        ab = ab_quantities(max(16, order // 2))
-        dual = poly.evaluate(_chain_values(chains, dual_bases(ab))).is_zero()
+        dual_order = max(16, order // 2)
+        dual = poly.evaluate(_chain_values(chains, [
+            b.known_to(dual_order) for b in dual_bases(dual_order)])).is_zero()
         found = {"weight": weight, "polynomial": poly,
                  "stratum_size": len(monos),
                  "degree_set": tuple(poly.degree_set()),

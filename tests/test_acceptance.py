@@ -166,10 +166,10 @@ def test_10_relation_search():
     assert result.verified_dual
 
 
-def test_11_p1_has_no_relation_through_weight_14():
-    # every p1 stratum through quasi-weight 14 has full column rank modulo
+def test_11_p1_has_no_relation_through_weight_20():
+    # every p1 stratum through quasi-weight 20 has full column rank modulo
     # the screen's prime, so no stratum needs exact elimination
     with _timed(6.0):
-        result = relation_search(mode="p1", weight_bound=14, order=40, seed=0)
+        result = relation_search(mode="p1", weight_bound=20, order=40, seed=0)
     assert not result.found
-    assert result.weights_scanned == tuple(range(2, 15))
+    assert result.weights_scanned == tuple(range(2, 21))

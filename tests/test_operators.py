@@ -149,6 +149,34 @@ class TestFrobeniusBasis:
         with pytest.raises(ValueError):
             mirror_operator(2)
 
+    @pytest.mark.parametrize("s", range(3, 9))
+    def test_integer_jet_matches_the_series_jet(self, s):
+        # the reference: the jet as a PowerSeries in H of order s-1, with
+        # a Newton inverse of (l+H) raised to the power s at every step
+        def series_jet(order):
+            a = PowerSeries.one("H", s - 1)
+            g = [[a.coeff(m)] for m in range(s - 1)]
+            for l in range(1, order):
+                for k in range(s * (l - 1) + 1, s * l + 1):
+                    a = a * PowerSeries("H", 0, (k, s), s - 1)
+                a = a * PowerSeries("H", 0, (l, 1), s - 1).inverse() ** s
+                for m in range(s - 1):
+                    g[m].append(a.coeff(m))
+            return [PowerSeries("z", 0, gm, order) for gm in g]
+
+        for order in (1, 2, 3, 17, 40):
+            got = g_functions(s, order)
+            assert len(got) == s - 1
+            for g, want in zip(got, series_jet(order)):
+                _same_series(g, want)
+
+    @pytest.mark.parametrize("s", range(3, 9))
+    def test_g0_is_the_factorial_ratio(self, s):
+        from math import factorial
+        g0 = g_functions(s, 30)[0]
+        assert [g0.coeff(l) for l in range(30)] == \
+            [factorial(s * l) // factorial(l) ** s for l in range(30)]
+
 
 class TestNormalForms:
     def test_symmetric_square(self):

@@ -208,15 +208,16 @@ class TestRelationSearch:
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_p1_inputs_without_rows_are_refused(self, order):
-        # A2 and A4 of an order-N input are known on q^1 .. q^(N-2)
+        # A2 of an order-N input is known on q^1 .. q^(N-2)
         with pytest.raises(TruncationError,
                            match=f"order {order} add no rows at quasi-weight 2"):
             relation_search(mode="p1", weight_bound=4, order=order)
 
-    @pytest.mark.parametrize("order, weight", [(3, 4), (4, 6)])
+    @pytest.mark.parametrize("order, weight", [(3, 6), (4, 8)])
     def test_p1_relation_failing_fresh_inputs_is_refused(self, order, weight):
-        # two or three coefficients a draw cannot tell the strata's
-        # monomials apart: the kernel is a truncation artifact
+        # on one or two coefficients a draw cannot tell the strata's
+        # monomials apart: the kernel is a truncation artifact. Seed 0 hits
+        # it first at these weights; at order 16 it would be weight 24
         with pytest.raises(TruncationError,
                            match=f"quasi-weight {weight} fails on fresh "
                                  f"inputs: an artifact of order {order}"):
@@ -378,6 +379,59 @@ class TestJetRing:
                for v in relations._jet_symbol_values()]
         assert nullspace(jac, 7) == []
         assert len(nullspace([list(col) for col in zip(*jac)], 10)) == 3
+
+
+@pytest.mark.parametrize("source", [f"random {n}" for n in range(4)]
+                         + ["mirror"])
+def test_p1_closed_forms_are_the_pullback(source):
+    # a p1 draw takes A2 = 5(2Q(z)z'^2 + {z,t}) and theta_4 =
+    # Qtilde(z)(z'/z)^4/100 from the closed forms: they equal A2 and
+    # theta_4 of the full pullback on the common window
+    z = (mirror_data(5, 30).z_of_q if source == "mirror"
+         else relations._random_series(random.Random(int(source[-1])), 40))
+    pulled = relations._theta4_pair(*a_quantities(z))
+    for closed, full in zip(relations._p1_bases(z), pulled):
+        n = min(closed.order, full.order)
+        assert n - full.val >= 27
+        assert (closed.val, closed.known_to(n).coeffs) == \
+            (full.val, full.known_to(n).coeffs)
+
+
+@pytest.mark.parametrize("mode", ["p1", "p2"])
+def test_dual_bases_are_the_mirror_side_closed_forms(mode):
+    # each mode's dual certificate builds its own side only; through the
+    # duality its values are the mirror map's A2 and theta_4 (and A4)
+    _, _, dual_bases = relations._SEARCH_MODES[mode]
+    z = mirror_data(5, 17).z_of_q
+    a2, theta4 = relations._p1_bases(z)
+    want = ((a2, theta4) if mode == "p1" else
+            (a2, theta4 + Q(3, 10) * a2.euler(2) + Q(9, 100) * a2 * a2))
+    for got, closed in zip(dual_bases(16), want):
+        assert (got.val, got.known_to(16).coeffs) == \
+            (closed.val, closed.known_to(16).coeffs)
+
+
+@pytest.mark.parametrize("order", [6, 40])
+def test_p1_draw_rows_follow_the_lowest_degree_monomials(order):
+    # every symbol has valuation 1, and theta_4's closed form knows one
+    # term more than A2's: a monomial of degree d is known on q^d ..
+    # q^(order - 3 + d), one term further without an A2 factor. A draw
+    # stacks order - 2 rows where a lowest-degree monomial of the stratum
+    # has an A2 factor, order - 1 where none has (theta_4, theta_4' ...)
+    z = relations._random_series(random.Random(0), order)
+    a2, theta4 = relations._p1_bases(z)
+    assert (a2.val, a2.order, theta4.val, theta4.order) == \
+        (1, order - 1, 1, order)
+    values = relations._chain_values(P1_CHAINS, (a2, theta4))
+    counts = set()
+    for weight in range(2, 21):
+        monos = relations._monomials(P1_WEIGHTS, weight)
+        low = min(map(sum, monos))
+        a2_bound = any(e[0] or e[1] for e in monos if sum(e) == low)
+        rows = len(relations._stack_rows(monos, [(values, {})]))
+        assert rows == order - 2 + (not a2_bound), weight
+        counts.add(rows)
+    assert counts == {order - 2, order - 1}
 
 
 @pytest.mark.parametrize("source", ["random 0", "random 1", "mirror"])
