@@ -4,21 +4,20 @@ failure, 2 usage error."""
 
 from __future__ import annotations
 
-import json
 import math
 import sys
+from importlib import import_module
 
 import click
 
-from .golden import golden_report
-from .mirror import mirror_data, verify_hodge_identity
-from .relations import (relation_search, verify_duality, verify_eq_fourth,
-                        verify_eq_schwarzian, verify_eq_second)
-from .series import TruncationError, series_from_record, series_to_record
-from .wronskian import IndeterminateWronskian, wronskian
-from .yukawa import (evaluate_F0_at, instanton_numbers, integrality_suite,
-                     prepotential, verify_pandharipande,
-                     verify_yukawa_identity, yukawa_coupling)
+# Each command imports the library modules it runs inside its body, so a
+# fresh process compiles only those; ``import mirrormap.cli`` loads none.
+
+
+def _lib(module, name):
+    """Library callable ``mirrormap.<module>.<name>``, looked up at call
+    time, so a wrapper rebound on its defining module is the one called."""
+    return getattr(import_module(f".{module}", __package__), name)
 
 
 def _render_text(data, indent=0):
@@ -46,6 +45,7 @@ def _render_text(data, indent=0):
 
 def _emit(data, fmt, out):
     if fmt == "json":
+        import json
         text = json.dumps(data, indent=2, sort_keys=True)
     else:
         text = "\n".join(_render_text(data))
@@ -83,6 +83,8 @@ def main():
 @_common
 def mirror(s, order, emit, fmt, out):
     """Emit one series of the mirror-map bundle for the given s."""
+    from .mirror import mirror_data
+    from .series import series_to_record
     md = mirror_data(s, order)
     _emit({"s": s, "series": emit,
            **series_to_record(getattr(md, emit).truncate(order))}, fmt, out)
@@ -93,6 +95,8 @@ def mirror(s, order, emit, fmt, out):
 @_common
 def yukawa(order, fmt, out):
     """Emit the Yukawa coupling K(q)."""
+    from .series import series_to_record
+    from .yukawa import yukawa_coupling
     _emit(series_to_record(yukawa_coupling(order)), fmt, out)
 
 
@@ -102,6 +106,7 @@ def yukawa(order, fmt, out):
 @_common
 def instantons(count, fmt, out):
     """Emit the instanton numbers n_1..n_count."""
+    from .yukawa import instanton_numbers, yukawa_coupling
     table = instanton_numbers(yukawa_coupling(count + 2), count)
     _emit({"n": [str(x) for x in table.n],
            "N": [str(x) for x in table.N]}, fmt, out)
@@ -112,6 +117,8 @@ def instantons(count, fmt, out):
 @_common
 def prepotential_cmd(order, fmt, out):
     """Emit the prepotential as a polynomial in t with q-series parts."""
+    from .series import series_to_record
+    from .yukawa import prepotential
     F = prepotential(order)
     _emit({"t_powers": [series_to_record(F.part(k) / math.factorial(k))
                         for k in range(F.log_degree + 1)]}, fmt, out)
@@ -125,6 +132,7 @@ def eval_f0(t_value, order, fmt, out):
     """Evaluate the cubic Eisenstein-style potential at a real t < 0."""
     if not math.isfinite(t_value):
         raise click.UsageError("--t must be a finite number")
+    from .yukawa import evaluate_F0_at
     try:
         value = evaluate_F0_at(t_value, order)
     except ValueError as exc:
@@ -139,6 +147,10 @@ def eval_f0(t_value, order, fmt, out):
 @_common
 def wronskian_cmd(path, fmt, out):
     """Wronskian determinant of the series in the input file."""
+    import json
+
+    from .series import series_from_record, series_to_record
+    from .wronskian import IndeterminateWronskian, wronskian
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -178,6 +190,8 @@ def search_relation(mode, weight_bound, order, seed, fmt, out):
 
     p2 is decided exactly in Q[u', u'', ...]. --order sets the order of
     p1's random inputs and of the dual certificate, max(16, order // 2)."""
+    from .relations import relation_search
+    from .series import TruncationError
     try:
         result = relation_search(mode=mode, weight_bound=weight_bound,
                                  order=order, seed=seed)
@@ -193,6 +207,7 @@ def search_relation(mode, weight_bound, order, seed, fmt, out):
 @_common
 def golden(order, fmt, out):
     """Compare computed series against the embedded golden tables."""
+    from .golden import golden_report
     report = golden_report(order)
     _emit({"items": report}, fmt, out)
     if any(item["status"] == "fail" for item in report):
@@ -206,23 +221,25 @@ def verify():
 
 #: The residual checks, in the order ``verify all`` runs them: (name, help,
 #: default --order, --s choices, residual call, order cap in ``verify all``).
-#: The calls look the library functions up at call time, so a wrapper
-#: rebound on this module's globals sees every check.
+#: The calls import their module and look the function up at call time.
 RESIDUAL_CHECKS = (
     ("hodge", "Square-of-f0 identity for the modular cases.", 32, (3, 4),
-     lambda order, s: [verify_hodge_identity(s, order)], None),
+     lambda order, s: [_lib("mirror", "verify_hodge_identity")(s, order)],
+     None),
     ("eq9", "Schwarzian equation for the modular cases.", 24, (3, 4),
-     lambda order, s: [verify_eq_schwarzian(s, order)], None),
+     lambda order, s: [_lib("relations", "verify_eq_schwarzian")(s, order)],
+     None),
     ("eq19", "Defining identity of the Yukawa coupling.", 32, (),
-     lambda order, s: [verify_yukawa_identity(order)], None),
+     lambda order, s: [_lib("yukawa", "verify_yukawa_identity")(order)],
+     None),
     ("eq16", "Second-order coupled equation for z(q) and K(q).", 24, (),
-     lambda order, s: [verify_eq_second(order)], None),
+     lambda order, s: [_lib("relations", "verify_eq_second")(order)], None),
     ("eq25", "Fourth-order coupled equation for z(q) and K(q).", 24, (),
-     lambda order, s: [verify_eq_fourth(order)], None),
+     lambda order, s: [_lib("relations", "verify_eq_fourth")(order)], None),
     ("pandharipande", "d^2/dt^2 (1/K) d^2/dt^2 t_j = 0 for j = 0..3.", 20,
-     (), lambda order, s: verify_pandharipande(order), 20),
+     (), lambda order, s: _lib("yukawa", "verify_pandharipande")(order), 20),
     ("duality", "A2 = B2 and A4 = B4 on the actual mirror-map data.", 20,
-     (), lambda order, s: verify_duality(order), 20),
+     (), lambda order, s: _lib("relations", "verify_duality")(order), 20),
 )
 
 
@@ -257,6 +274,7 @@ for _check in RESIDUAL_CHECKS:
 @_common
 def integrality(order, fmt, out):
     """Integer coefficients of the mirror maps and K/5."""
+    from .yukawa import integrality_suite
     items = integrality_suite(order)
     ok = all(item["pass"] for item in items)
     _emit({"check": "integrality", "order": order, "pass": ok,
@@ -270,6 +288,8 @@ def integrality(order, fmt, out):
 @_common
 def verify_all(order, fmt, out):
     """Run every verification plus the golden suite."""
+    from .golden import golden_report
+    from .yukawa import integrality_suite
     checks = []
     for name, _, _, s_choices, residuals, max_order in RESIDUAL_CHECKS:
         run_order = min(order, max_order or order)

@@ -1,15 +1,21 @@
 """Command-line interface: output shape, exit codes, determinism."""
 
+import ast
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from mirrormap import cli, mirror, operators
+from mirrormap import mirror, operators, relations
 from mirrormap.cli import main
 from mirrormap.golden import GOLDEN_TABLES, golden_report
 from mirrormap.mirror import mirror_data
+from mirrormap.series import PowerSeries, series_to_record
 from mirrormap.yukawa import yukawa_coupling
 
 
@@ -290,8 +296,8 @@ class TestSearchRelation:
         # the --order floor of 16 leaves artifacts only at slow, high
         # weights (24 at seed 0); run the library at order 3, where one
         # appears at weight 6
-        search = cli.relation_search
-        monkeypatch.setattr(cli, "relation_search",
+        search = relations.relation_search
+        monkeypatch.setattr(relations, "relation_search",
                             lambda **kw: search(**{**kw, "order": 3}))
         res = runner.invoke(main, ["search-relation", "--mode", "p1",
                                    "--weight-bound", "6"])
@@ -336,3 +342,70 @@ class TestDeterminism:
         first, second = (runner.invoke(main, args) for _ in range(2))
         assert first.exit_code == second.exit_code == 0
         assert first.output == second.output
+
+
+def _fresh(code, *args):
+    """Run ``code`` in a new interpreter that imports mirrormap from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_LOADED = """
+import sys
+import mirrormap.cli
+if sys.argv[1:]:
+    mirrormap.cli.main(sys.argv[1:], standalone_mode=False)
+print(sorted(m for m in sys.modules
+             if m == "json" or m.partition(".")[0] == "mirrormap"))
+"""
+
+_BASE = {"mirrormap", "mirrormap.cli"}
+_MIRROR = _BASE | {"mirrormap.series", "mirrormap.operators",
+                   "mirrormap.mirror"}
+
+
+class TestImportBoundary:
+    @pytest.mark.parametrize("args, loaded", [
+        ((), _BASE),
+        (("mirror", "--s", "3", "--order", "8"), _MIRROR),
+        (("wronskian", "--input", "{input}"),
+         _BASE | {"json", "mirrormap.series", "mirrormap.linalg",
+                  "mirrormap.wronskian"}),
+        (("verify", "hodge", "--s", "3"), _MIRROR),
+    ], ids=["import", "mirror", "wronskian", "verify-hodge"])
+    def test_command_loads_only_its_modules(self, tmp_path, args, loaded):
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps([series_to_record(
+            PowerSeries("q", k, [1, 2], 8)) for k in (0, 1)]))
+        argv = [a.format(input=path) for a in args]
+        last = _fresh(_LOADED, *argv).splitlines()[-1]
+        assert set(ast.literal_eval(last)) == loaded
+
+    def test_wronskian_names_the_function(self):
+        # mirrormap.relations imports the submodule mirrormap.wronskian
+        # before anything asks the package for the name
+        _fresh("""
+import importlib
+import types
+import mirrormap.relations
+import mirrormap
+from mirrormap import PowerSeries, wronskian
+assert mirrormap.wronskian is wronskian
+assert isinstance(wronskian, types.FunctionType)
+w = wronskian([PowerSeries("q", 0, [1, 2], 8), PowerSeries("q", 1, [1, 3], 8)])
+assert w.power_part().coeffs == (1, 6, 6), w
+module = importlib.import_module("mirrormap.wronskian")
+assert isinstance(module, types.ModuleType) and module.wronskian is wronskian
+try:
+    mirrormap.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown name resolved")
+assert set(mirrormap.__all__) <= set(dir(mirrormap))
+""")
