@@ -26,9 +26,8 @@ _EXPORTS = {
                "verify_yukawa_identity", "yukawa_coupling"),
     "wronskian": ("DiffPolynomial", "IndeterminateWronskian", "r_operator",
                   "r_substitute", "schwarzian", "wronskian"),
-    "relations": ("ABQuantities", "RelationSearchResult", "ab_quantities",
-                  "rational_q", "rational_q_tilde", "relation_search",
-                  "verify_duality", "verify_eq_fourth",
+    "relations": ("RelationSearchResult", "rational_q", "rational_q_tilde",
+                  "relation_search", "verify_duality", "verify_eq_fourth",
                   "verify_eq_schwarzian", "verify_eq_second"),
     "golden": ("GOLDEN_TABLES", "golden_report"),
 }

@@ -60,17 +60,6 @@ def a_quantities(z: PowerSeries):
     return fourth_order_reduction(a1, a2, a3, a4, PowerSeries.euler)
 
 
-@dataclass(frozen=True)
-class ABQuantities:
-    """The dual second/fourth-order invariants of one truncation order:
-    the A's from the mirror map, the B's from the log-Yukawa coupling."""
-    order: int
-    A2: PowerSeries
-    A4: PowerSeries
-    B2: PowerSeries
-    B4: PowerSeries
-
-
 def _quintic_pair(order: int):
     """z(q) and K(q) with the slack the coupled identities need to be
     known through the given order."""
@@ -78,22 +67,15 @@ def _quintic_pair(order: int):
     return mirror_data(5, slack).z_of_q, yukawa_coupling(slack)
 
 
-def ab_quantities(order: int) -> ABQuantities:
-    z, K = _quintic_pair(order)
-    a2, a4 = a_quantities(z)
-    b2, b4 = b_quantities(K.euler() / K)  # u = log K itself is irrational
-    return ABQuantities(order=order,
-                        A2=a2.known_to(order), A4=a4.known_to(order),
-                        B2=b2.known_to(order), B4=b4.known_to(order))
-
-
 def verify_duality(order: int):
     """Residuals A2 - B2 and A4 - B4 on the actual mirror map / Yukawa pair:
     the normal forms of the quintic operator pulled back to t and of
     d^2/dt^2 (1/K) d^2/dt^2. Both vanish: z(t) and K(t) carry one
     fourth-order equation, the mirror-map side of the coupled identities."""
-    ab = ab_quantities(order)
-    return ab.A2 - ab.B2, ab.A4 - ab.B4
+    z, K = _quintic_pair(order)
+    a2, a4 = a_quantities(z)
+    b2, b4 = b_quantities(K.euler() / K)  # u = log K itself is irrational
+    return (a2 - b2).known_to(order), (a4 - b4).known_to(order)
 
 
 def _schwarzian_form(q_rf: RationalFunction, z: PowerSeries) -> PowerSeries:
@@ -120,16 +102,33 @@ def verify_eq_schwarzian(s: int, order: int) -> PowerSeries:
     return _schwarzian_form(second_order_normal_form(op), z).known_to(order)
 
 
+def _theta4_pair(x2, x4):
+    """(X2, theta_4) of a (Q2, Q0) pair in delta_q, with theta_4 =
+    X4 - (3/10)X2'' - (9/100)X2^2 the Laguerre-Forsyth invariant."""
+    return x2, x4 - Q(3, 10) * x2.euler(2) - Q(9, 100) * x2 * x2
+
+
+def _mirror_side(z):
+    """(A2, theta_4) on a series z(q) of valuation 1 from the z-side closed
+    forms, with no pullback: A2 = 5(2Q(z)z'^2 + {z,t}) and
+    theta_4 = Qtilde(z)(z'/z)^4/100."""
+    return (5 * _schwarzian_form(rational_q(), z),
+            rational_q_tilde().eval_series(z) * (z.euler() / z) ** 4 / 100)
+
+
+def _yukawa_side(K):
+    """(B2, theta_4) of a Yukawa coupling K(q), from u' = K'/K."""
+    return _theta4_pair(*b_quantities(K.euler() / K))
+
+
 def verify_eq_second(order: int) -> PowerSeries:
     """Residual of 2Q(z)(dz/dt)^2 + {z,t} = (2/5)u'' - (1/10)u'^2,
     u = log K; the Laurent principal parts on the left cancel exactly.
     This is the second-order half of the duality divided by 5: the left
     side is A2/5 (Q2 = 10Q), the right side B2/5."""
     z, K = _quintic_pair(order)
-    u1, u2 = ladder(K.euler() / K, 1)
-    lhs = _schwarzian_form(rational_q(), z)
-    rhs = Q(2, 5) * u2 - Q(1, 10) * u1 * u1
-    return (lhs - rhs).known_to(order)
+    (a2, _), (b2, _) = _mirror_side(z), _yukawa_side(K)
+    return ((a2 - b2) / 5).known_to(order)
 
 
 def verify_eq_fourth(order: int) -> PowerSeries:
@@ -138,13 +137,8 @@ def verify_eq_fourth(order: int) -> PowerSeries:
     the duality's Laguerre-Forsyth invariant: each side is 100 theta_4,
     theta_4 = X4 - (3/10)X2'' - (9/100)X2^2, of (A2, A4) and (B2, B4)."""
     z, K = _quintic_pair(order)
-    _, k1, k2, k3, k4 = ladder(K, 4)
-    lhs = rational_q_tilde().eval_series(z) * (z.euler() / z) ** 4
-    num = (175 * k1 ** 4 - 280 * K * k1 * k1 * k2
-           + 49 * K * K * k2 * k2 + 70 * K * K * k1 * k3
-           - 10 * K ** 3 * k4)
-    rhs = num / K ** 4
-    return (lhs - rhs).known_to(order)
+    (_, theta_a), (_, theta_b) = _mirror_side(z), _yukawa_side(K)
+    return (100 * (theta_a - theta_b)).known_to(order)
 
 
 # ---------------------------------------------------------------------------
@@ -237,26 +231,6 @@ def _jet_symbol_values():
     return _chain_values(P2_CHAINS, b_quantities(u1, d), d)
 
 
-def _theta4_pair(x2, x4):
-    """(X2, theta_4) of a (Q2, Q0) pair in delta_q, with theta_4 =
-    X4 - (3/10)X2'' - (9/100)X2^2 the Laguerre-Forsyth invariant."""
-    return x2, x4 - Q(3, 10) * x2.euler(2) - Q(9, 100) * x2 * x2
-
-
-def _p1_bases(z):
-    """A2 and theta_4 on an input z from the z-side closed forms of eq16
-    and eq25, with no pullback: A2 = 5(2Q(z)z'^2 + {z,t}) and
-    theta_4 = Qtilde(z)(z'/z)^4/100."""
-    return (5 * _schwarzian_form(rational_q(), z),
-            rational_q_tilde().eval_series(z) * (z.euler() / z) ** 4 / 100)
-
-
-def _p1_dual_bases(order):
-    """(B2, theta_4) of the actual log-Yukawa coupling."""
-    K = yukawa_coupling(order + 1)
-    return _theta4_pair(*b_quantities(K.euler() / K))
-
-
 #: mode -> (chains, the bases on one random input z, or None where the jet
 #: ring decides the search, and the bases of the dual side at an order,
 #: built from that side alone: (A2, A4) of the actual mirror map for p2,
@@ -266,7 +240,8 @@ def _p1_dual_bases(order):
 _SEARCH_MODES = {
     "p2": (P2_CHAINS, None,
            lambda order: a_quantities(mirror_data(5, order + 1).z_of_q)),
-    "p1": (P1_CHAINS, _p1_bases, _p1_dual_bases),
+    "p1": (P1_CHAINS, _mirror_side,
+           lambda order: _yukawa_side(yukawa_coupling(order + 1))),
 }
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from mirrormap import mirror, operators, relations
+from mirrormap import golden, mirror, operators, relations
 from mirrormap.cli import main
 from mirrormap.golden import GOLDEN_TABLES, golden_report
 from mirrormap.mirror import mirror_data
@@ -158,10 +158,11 @@ class TestGolden:
         golden_report(24)
         assert calls == [3, 4, 5]
 
-    def test_corrupted_table_fails(self):
+    def test_corrupted_table_fails(self, monkeypatch):
         tables = copy.deepcopy(GOLDEN_TABLES)
         tables["yukawa"]["K"]["coeffs"][2] += 1
-        report = golden_report(24, tables=tables)
+        monkeypatch.setattr(golden, "GOLDEN_TABLES", tables)
+        report = golden_report(24)
         bad = [it for it in report if it["status"] == "fail"]
         assert len(bad) == 1
         assert bad[0]["item"] == "yukawa.K"

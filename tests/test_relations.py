@@ -13,8 +13,7 @@ from mirrormap.operators import (RationalFunction, fourth_order_normal_form,
                                  mirror_operator, poly,
                                  second_order_normal_form)
 from mirrormap.relations import (P1_CHAINS, P2_CHAINS, a_quantities,
-                                 ab_quantities, b_quantities,
-                                 rational_q, rational_q_tilde,
+                                 b_quantities, rational_q, rational_q_tilde,
                                  relation_search, verify_duality,
                                  verify_eq_fourth, verify_eq_schwarzian,
                                  verify_eq_second)
@@ -98,24 +97,45 @@ class TestCoupledIdentities:
         # theta_4 = X4 - (3/10)X2'' - (9/100)X2^2, times 100, on each side
         z, K = relations._quintic_pair(24)
         a2, a4 = a_quantities(z)
+        # the paper's printed right-hand sides are references for the
+        # Yukawa side that eq16 and eq25 read
         u1, u2 = ladder(K.euler() / K, 1)
-        b2, b4 = b_quantities(u1)
+        eq16_rhs = Q(2, 5) * u2 - Q(1, 10) * u1 * u1
+        _, k1, k2, k3, k4 = ladder(K, 4)
+        eq25_rhs = (175 * k1 ** 4 - 280 * K * k1 * k1 * k2
+                    + 49 * K * K * k2 * k2 + 70 * K * K * k1 * k3
+                    - 10 * K ** 3 * k4) / K ** 4
+        b2, b_theta4 = relations._yukawa_side(K)
         sides = [(5 * relations._schwarzian_form(rational_q(), z), a2),
-                 (5 * (Q(2, 5) * u2 - Q(1, 10) * u1 * u1), b2)]
-        for side, x2 in sides:
+                 (5 * eq16_rhs, b2), (eq25_rhs, 100 * b_theta4)]
+        for side, value in sides:
             assert (side.val, side.order, side.coeffs) == \
-                (x2.val, x2.order, x2.coeffs)
+                (value.val, value.order, value.coeffs)
 
         def theta4(x2, x4):
             return 100 * (x4 - Q(3, 10) * x2.euler(2) - Q(9, 100) * x2 * x2)
 
-        _, k1, k2, k3, k4 = ladder(K, 4)
         z_side = rational_q_tilde().eval_series(z) * (z.euler() / z) ** 4
-        k_side = (175 * k1 ** 4 - 280 * K * k1 * k1 * k2
-                  + 49 * K * K * k2 * k2 + 70 * K * K * k1 * k3
-                  - 10 * K ** 3 * k4) / K ** 4
-        assert z_side == theta4(a2, a4) and k_side == theta4(b2, b4)
+        assert z_side == theta4(a2, a4)
         assert not theta4(a2, a4).is_zero()
+
+    @pytest.mark.parametrize("residual", [
+        lambda: verify_eq_second(24),
+        lambda: verify_eq_fourth(24),
+        lambda: verify_duality(20)[0],
+        lambda: verify_duality(20)[1],
+    ], ids=["eq16", "eq25", "duality-2", "duality-4"])
+    def test_yukawa_side_detects_mutation(self, monkeypatch, residual):
+        # K + q^5 must break every coupled identity: the Yukawa side of
+        # each residual is not vacuous
+        real = yukawa_coupling
+
+        def perturbed(order):
+            K = real(order)
+            return K + PowerSeries("q", 5, [rat(1)], K.order)
+
+        monkeypatch.setattr(relations, "yukawa_coupling", perturbed)
+        assert not residual().is_zero()
 
     def test_schwarzian_identity_detects_mutation(self):
         # perturbing the potential must break the identity: the check is
@@ -141,12 +161,12 @@ class TestCoupledIdentities:
 @pytest.mark.parametrize("check", [
     lambda: verify_hodge_identity(3, 16),
     lambda: verify_yukawa_identity(8),
-    lambda: ab_quantities(8),
+    lambda: verify_duality(8),
     lambda: verify_eq_schwarzian(4, 16),
     lambda: verify_eq_second(8),
     lambda: verify_eq_fourth(8),
     lambda: relation_search("p2", order=24),
-], ids=["hodge", "eq19", "ab", "eq9", "eq16", "eq25", "search-dual"])
+], ids=["hodge", "eq19", "duality", "eq9", "eq16", "eq25", "search-dual"])
 def test_verifier_refuses_short_bundle(monkeypatch, check):
     # a bundle known to fewer terms must not yield a silently short residual
     K = yukawa_coupling(20)
@@ -186,11 +206,12 @@ class TestRelationSearch:
         assert again.polynomial.terms == result.polynomial.terms
 
     def test_kills_actual_b_quantities(self, result):
-        ab = ab_quantities(20)
-        values = [ab.B2]
+        K = yukawa_coupling(21)
+        b2, b4 = (b.known_to(20) for b in b_quantities(K.euler() / K))
+        values = [b2]
         for _ in range(5):
             values.append(values[-1].euler())
-        values.append(ab.B4)
+        values.append(b4)
         for _ in range(3):
             values.append(values[-1].euler())
         assert result.polynomial.evaluate(values).is_zero()
@@ -390,7 +411,7 @@ def test_p1_closed_forms_are_the_pullback(source):
     z = (mirror_data(5, 30).z_of_q if source == "mirror"
          else relations._random_series(random.Random(int(source[-1])), 40))
     pulled = relations._theta4_pair(*a_quantities(z))
-    for closed, full in zip(relations._p1_bases(z), pulled):
+    for closed, full in zip(relations._mirror_side(z), pulled):
         n = min(closed.order, full.order)
         assert n - full.val >= 27
         assert (closed.val, closed.known_to(n).coeffs) == \
@@ -403,7 +424,7 @@ def test_dual_bases_are_the_mirror_side_closed_forms(mode):
     # duality its values are the mirror map's A2 and theta_4 (and A4)
     _, _, dual_bases = relations._SEARCH_MODES[mode]
     z = mirror_data(5, 17).z_of_q
-    a2, theta4 = relations._p1_bases(z)
+    a2, theta4 = relations._mirror_side(z)
     want = ((a2, theta4) if mode == "p1" else
             (a2, theta4 + Q(3, 10) * a2.euler(2) + Q(9, 100) * a2 * a2))
     for got, closed in zip(dual_bases(16), want):
@@ -419,7 +440,7 @@ def test_p1_draw_rows_follow_the_lowest_degree_monomials(order):
     # stacks order - 2 rows where a lowest-degree monomial of the stratum
     # has an A2 factor, order - 1 where none has (theta_4, theta_4' ...)
     z = relations._random_series(random.Random(0), order)
-    a2, theta4 = relations._p1_bases(z)
+    a2, theta4 = relations._mirror_side(z)
     assert (a2.val, a2.order, theta4.val, theta4.order) == \
         (1, order - 1, 1, order)
     values = relations._chain_values(P1_CHAINS, (a2, theta4))
