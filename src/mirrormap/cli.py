@@ -220,26 +220,23 @@ def verify():
 
 
 #: The residual checks, in the order ``verify all`` runs them: (name, help,
-#: default --order, --s choices, residual call, order cap in ``verify all``).
-#: The calls import their module and look the function up at call time.
+#: default --order, --s choices, residual call).  The calls import their
+#: module and look the function up at call time.
 RESIDUAL_CHECKS = (
     ("hodge", "Square-of-f0 identity for the modular cases.", 32, (3, 4),
-     lambda order, s: [_lib("mirror", "verify_hodge_identity")(s, order)],
-     None),
+     lambda order, s: [_lib("mirror", "verify_hodge_identity")(s, order)]),
     ("eq9", "Schwarzian equation for the modular cases.", 24, (3, 4),
-     lambda order, s: [_lib("relations", "verify_eq_schwarzian")(s, order)],
-     None),
+     lambda order, s: [_lib("relations", "verify_eq_schwarzian")(s, order)]),
     ("eq19", "Defining identity of the Yukawa coupling.", 32, (),
-     lambda order, s: [_lib("yukawa", "verify_yukawa_identity")(order)],
-     None),
+     lambda order, s: [_lib("yukawa", "verify_yukawa_identity")(order)]),
     ("eq16", "Second-order coupled equation for z(q) and K(q).", 24, (),
-     lambda order, s: [_lib("relations", "verify_eq_second")(order)], None),
+     lambda order, s: [_lib("relations", "verify_eq_second")(order)]),
     ("eq25", "Fourth-order coupled equation for z(q) and K(q).", 24, (),
-     lambda order, s: [_lib("relations", "verify_eq_fourth")(order)], None),
+     lambda order, s: [_lib("relations", "verify_eq_fourth")(order)]),
     ("pandharipande", "d^2/dt^2 (1/K) d^2/dt^2 t_j = 0 for j = 0..3.", 20,
-     (), lambda order, s: _lib("yukawa", "verify_pandharipande")(order), 20),
+     (), lambda order, s: _lib("yukawa", "verify_pandharipande")(order)),
     ("duality", "A2 = B2 and A4 = B4 on the actual mirror-map data.", 20,
-     (), lambda order, s: _lib("relations", "verify_duality")(order), 20),
+     (), lambda order, s: _lib("relations", "verify_duality")(order)),
 )
 
 
@@ -266,7 +263,7 @@ def _residual_command(name, help_text, default_order, s_choices, residuals):
 
 
 for _check in RESIDUAL_CHECKS:
-    _residual_command(*_check[:5])
+    _residual_command(*_check)
 
 
 @verify.command()
@@ -291,11 +288,10 @@ def verify_all(order, fmt, out):
     from .golden import golden_report
     from .yukawa import integrality_suite
     checks = []
-    for name, _, _, s_choices, residuals, max_order in RESIDUAL_CHECKS:
-        run_order = min(order, max_order or order)
+    for name, _, _, s_choices, residuals in RESIDUAL_CHECKS:
         for s in s_choices or (None,):
             checks.append({"check": f"{name} s={s}" if s else name,
-                           "pass": _vanish(residuals(run_order, s))})
+                           "pass": _vanish(residuals(order, s))})
     g_items = golden_report(order)
     checks.append({"check": "golden",
                    "pass": all(i["status"] != "fail" for i in g_items)})

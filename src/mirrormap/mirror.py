@@ -70,5 +70,5 @@ def verify_hodge_identity(s: int, order: int) -> PowerSeries:
     if s not in (3, 4):
         raise ValueError("the s=5 variant defines the Yukawa coupling; "
                          "use the yukawa module")
-    md = mirror_data(s, order)
+    md = mirror_data(s, order + 1)
     return (md.f0_tilde * md.f0_tilde - hodge_ratio(md)).known_to(order)

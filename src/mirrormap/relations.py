@@ -98,7 +98,7 @@ def verify_eq_schwarzian(s: int, order: int) -> PowerSeries:
         op = eighth_operator()
     else:
         raise ValueError("the Schwarzian case needs s in {3, 4}")
-    z = mirror_data(s, order).z_of_q
+    z = mirror_data(s, order + 1).z_of_q
     return _schwarzian_form(second_order_normal_form(op), z).known_to(order)
 
 

@@ -124,8 +124,10 @@ def t_functions(order: int):
 
 def verify_pandharipande(order: int):
     """Residuals of d^2/dt^2 (1/K) d^2/dt^2 t_j for j = 0..3."""
-    kinv = yukawa_coupling(order).inverse()
-    return [(tj.euler(2) * kinv).euler(2) for tj in t_functions(order)]
+    kinv = yukawa_coupling(order + 1).inverse()
+    residuals = [(tj.euler(2) * kinv).euler(2)
+                 for tj in t_functions(order + 1)]
+    return [LogSeries([p.known_to(order) for p in r.parts]) for r in residuals]
 
 
 def pullback_logseries(ls: LogSeries, zq: PowerSeries,
@@ -161,7 +163,7 @@ def evaluate_F0_at(t_value: float, order: int = 12) -> float:
     tail is below 289 * q^order / (1-q); at t = -2pi and order 12 that is
     under 1e-30, far below double rounding error.
     """
-    qv = math.exp(t_value)
+    qv = math.exp(min(t_value, 0.0))  # e^t overflows past t = 709.78
     if not qv < 1:
         raise ValueError("q = e^t must lie inside the unit disc")
     _, F0 = eisenstein_analog(order)
@@ -170,5 +172,8 @@ def evaluate_F0_at(t_value: float, order: int = 12) -> float:
         acc = 0.0
         for n, c in (part / math.factorial(k)).known_coeffs():
             acc += float(c.numerator) / float(c.denominator) * qv ** n
-        total += acc * t_value ** k
+        try:
+            total += acc * t_value ** k
+        except OverflowError:
+            raise ValueError(f"t^{k} overflows a float") from None
     return total

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from mirrormap import golden, mirror, operators, relations
+from mirrormap import golden, mirror, operators, relations, yukawa
 from mirrormap.cli import main
 from mirrormap.golden import GOLDEN_TABLES, golden_report
 from mirrormap.mirror import mirror_data
@@ -88,7 +88,7 @@ class TestYukawaCommands:
         assert t_powers[3]["coeffs"] == ["5/6"]
 
     def test_eval_f0_rejects_positive_t(self, runner):
-        for t in ("1.0", "-inf"):
+        for t in ("1.0", "-inf", "1e308", "-1e300"):
             res = runner.invoke(main, ["eval-f0", f"--t={t}"])
             assert res.exit_code == 2, t
 
@@ -105,19 +105,51 @@ class TestVerify:
             "hodge s=3", "hodge s=4", "eq9 s=3", "eq9 s=4", "eq19", "eq16",
             "eq25", "pandharipande", "duality", "golden", "integrality"]
 
-    def test_verify_all_builds_each_bundle_once(self, runner, monkeypatch):
-        # eq19, eq16 and eq25 share the (5, 25) bundle of golden and
-        # integrality; the duality check's order + 1 slack needs (5, 21)
-        built = []
+    @pytest.mark.parametrize("n", [8, 24, 40])
+    def test_verify_all_builds_each_bundle_once(self, runner, monkeypatch, n):
+        # every check through order N reads the s-bundle and K at N + 1,
+        # as golden and integrality do
+        built, coupled = [], []
         real = mirror.mirror_pipeline
         monkeypatch.setattr(mirror, "mirror_pipeline",
                             lambda s, order: built.append((s, order))
                             or real(s, order))
+        real_k = yukawa.yukawa_from_definition
+        monkeypatch.setattr(yukawa, "yukawa_from_definition",
+                            lambda order: coupled.append(order)
+                            or real_k(order))
         mirror_data.cache_clear()
         yukawa_coupling.cache_clear()
-        assert runner.invoke(main, ["verify", "all"]).exit_code == 0
-        assert sorted(built) == [(3, 24), (3, 25), (4, 24), (4, 25),
-                                 (5, 20), (5, 21), (5, 25)]
+        res = runner.invoke(main, ["verify", "all", "--order", str(n)])
+        assert res.exit_code == 0, res.output
+        assert sorted(built) == [(3, n + 1), (4, n + 1), (5, n + 1)]
+        assert coupled == [n + 1]
+
+    def test_verify_all_runs_each_check_at_its_order(self, runner,
+                                                     monkeypatch):
+        received = []
+
+        def recording(name, real):
+            def check(*args):
+                received.append((name, args[-1]))
+                return real(*args)
+            return check
+
+        for module, name in ((mirror, "verify_hodge_identity"),
+                             (relations, "verify_eq_schwarzian"),
+                             (yukawa, "verify_yukawa_identity"),
+                             (relations, "verify_eq_second"),
+                             (relations, "verify_eq_fourth"),
+                             (yukawa, "verify_pandharipande"),
+                             (relations, "verify_duality")):
+            monkeypatch.setattr(module, name,
+                                recording(name, getattr(module, name)))
+        res = runner.invoke(main, ["verify", "all", "--order", "40",
+                                   "--format", "json"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["order"] == 40
+        assert len({name for name, _ in received}) == 7
+        assert all(order == 40 for _, order in received), received
 
     @pytest.mark.parametrize("args", [
         ["verify", "eq16", "--order", "16"],

@@ -19,7 +19,8 @@ from mirrormap.relations import (P1_CHAINS, P2_CHAINS, a_quantities,
                                  verify_eq_second)
 from mirrormap.series import Q, PowerSeries, TruncationError, ladder, rat
 from mirrormap.wronskian import DiffPolynomial, chain_ring, schwarzian
-from mirrormap.yukawa import verify_yukawa_identity, yukawa_coupling
+from mirrormap.yukawa import (verify_pandharipande, verify_yukawa_identity,
+                              yukawa_coupling)
 
 P2_SYMBOLS, P2_WEIGHTS = chain_ring(P2_CHAINS)
 _, P1_WEIGHTS = chain_ring(P1_CHAINS)
@@ -165,8 +166,10 @@ class TestCoupledIdentities:
     lambda: verify_eq_schwarzian(4, 16),
     lambda: verify_eq_second(8),
     lambda: verify_eq_fourth(8),
+    lambda: verify_pandharipande(20),
     lambda: relation_search("p2", order=24),
-], ids=["hodge", "eq19", "duality", "eq9", "eq16", "eq25", "search-dual"])
+], ids=["hodge", "eq19", "duality", "eq9", "eq16", "eq25", "pandharipande",
+        "search-dual"])
 def test_verifier_refuses_short_bundle(monkeypatch, check):
     # a bundle known to fewer terms must not yield a silently short residual
     K = yukawa_coupling(20)

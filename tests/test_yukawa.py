@@ -122,6 +122,7 @@ class TestTFunctions:
     def test_pandharipande_residuals_vanish(self):
         for resid in verify_pandharipande(18):
             assert resid.is_zero()
+            assert all(part.order == 18 for part in resid.parts)
 
     def test_match_frobenius_ratios(self):
         # t_j agrees with f_j/f_0 carried through z = z(q), t = log q
@@ -172,3 +173,5 @@ class TestEisensteinAnalog:
     def test_outside_disc_rejected(self):
         with pytest.raises(ValueError):
             evaluate_F0_at(0.5)
+        with pytest.raises(ValueError):
+            evaluate_F0_at(1e308)
