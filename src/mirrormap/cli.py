@@ -183,13 +183,14 @@ def wronskian_cmd(path, fmt, out):
               show_default=True)
 @_order(40, 16)
 @click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed of p1's random inputs; p2 does not use it.")
+              help="Echoed in the output; neither mode uses it.")
 @_common
 def search_relation(mode, weight_bound, order, seed, fmt, out):
     """Scan quasi-weight strata for an identically-vanishing relation.
 
-    p2 is decided exactly in Q[u', u'', ...]. --order sets the order of
-    p1's random inputs and of the dual certificate, max(16, order // 2)."""
+    Both modes are decided exactly: p2 in Q[u', u'', ...], p1 in the
+    z-jet ring over Q(z) at rational points z. --order sets only the order
+    of the dual certificate, max(16, order // 2)."""
     from .relations import relation_search
     from .series import TruncationError
     try:

@@ -12,18 +12,20 @@ from .series import _integer_window
 PRIME = (1 << 61) - 1
 
 
-def _full_rank_mod_prime(m, ncols):
-    """Whether the integer rows ``m`` have rank ``ncols`` modulo PRIME.
+def _rank_mod_prime(rows, ncols, echelon=None):
+    """The rank modulo PRIME of the rational rows, counted up to ``ncols``.
 
-    The rows are reduced one at a time against an echelon basis whose
-    pivots are 1; each pivot row is stored reduced from its pivot column
-    on, and the scan stops as soon as the rank is full. A row being
+    Each row is scaled to integers and reduced against an echelon basis
+    whose pivots are 1; each pivot row is stored reduced from its pivot
+    column on, and the scan stops as soon as the rank is full. A row being
     reduced is only reduced modulo PRIME where it is read: its entries
-    grow by less than PRIME^2 per step.
+    grow by less than PRIME^2 per step. ``echelon`` (column -> pivot row)
+    holds the basis of rows screened before, which these rows extend in
+    place, so a matrix can be screened block by block.
     """
-    pivots = {}  # column -> that row's entries from the column on
-    for row in m:
-        row = [v % PRIME for v in row]
+    pivots = {} if echelon is None else echelon
+    for row in rows:
+        row = [v % PRIME for v in _integer_window(row)[0]]
         c = 0
         while True:
             k = next((j for j, v in enumerate(row) if v % PRIME), None)
@@ -37,10 +39,10 @@ def _full_rank_mod_prime(m, ncols):
                 inv = pow(f, -1, PRIME)
                 pivots[c] = [v * inv % PRIME for v in row]
                 if len(pivots) == ncols:
-                    return True
+                    return ncols
                 break
             row = [a - f * b for a, b in zip(row, top)]
-    return False
+    return len(pivots)
 
 
 def nullspace(rows, ncols=None):
@@ -59,9 +61,9 @@ def nullspace(rows, ncols=None):
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    m = [_integer_window(row)[0] for row in rows]
-    if _full_rank_mod_prime(m, ncols):
+    if _rank_mod_prime(rows, ncols) == ncols:
         return []
+    m = [_integer_window(row)[0] for row in rows]
     pivots = []  # (column, echelon row)
     prev = 1
     for c in range(ncols):

@@ -3,18 +3,18 @@ quasi-homogeneous differential-polynomial relation search."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from itertools import count
+from math import isqrt
 from operator import mul
 
-from .linalg import nullspace
+from .linalg import _rank_mod_prime, nullspace
 from .mirror import mirror_data
 from .operators import (RationalFunction, change_derivation,
                         eighth_operator, fourth_order_reduction,
                         mirror_operator, poly, second_order_normal_form)
-from .series import PowerSeries, Q, TruncationError, ladder, rat
-from .wronskian import (DiffPolynomial, chain_ring, coefficient_rows,
-                        monomial_value, schwarzian)
+from .series import PowerSeries, Q, ladder, rat
+from .wronskian import DiffPolynomial, chain_ring, monomial_value, schwarzian
 from .yukawa import yukawa_coupling
 
 C5 = 5 ** 5  # the natural scale of the quintic family's singular point
@@ -150,10 +150,12 @@ def verify_eq_fourth(order: int) -> PowerSeries:
 #: Q[u', ..., u^(7)] is where B2''''' and B4''' end. p1 holds A2, A2' and
 #: T4 = theta_4 with three derivatives: the A2 and theta_4 chains generate
 #: the ring of the (A2, A4) chains, and p1's relations form a principal
-#: ideal whose generator uses only these six symbols (see README).
+#: ideal whose generator uses only these six symbols (see README). They
+#: are Laurent polynomials in the jets z', ..., z'''' of an arbitrary z.
 P2_CHAINS = (("B2", 2, 6), ("B4", 4, 4))
 P1_CHAINS = (("A2", 2, 2), ("T4", 4, 4))
 JET_CHAINS = (("u'", 1, 7),)
+Z_JET_CHAINS = (("z'", 1, 4),)
 
 
 @dataclass
@@ -208,13 +210,6 @@ def _monomials(weights, target):
     return out
 
 
-def _random_series(rng: random.Random, order: int) -> PowerSeries:
-    """q * (random integers in [-9, 9], the first nonzero) + O(q^order)."""
-    coeffs = [rat(rng.choice([c for c in range(-9, 10) if c]))]
-    coeffs += [rat(rng.randint(-9, 9)) for _ in range(order - 2)]
-    return PowerSeries("q", 1, coeffs, order)
-
-
 def _chain_values(chains, bases, step=PowerSeries.euler):
     """The values the chains' symbols stand for: one base per chain, then
     its derivatives by ``step``."""
@@ -231,34 +226,72 @@ def _jet_symbol_values():
     return _chain_values(P2_CHAINS, b_quantities(u1, d), d)
 
 
-#: mode -> (chains, the bases on one random input z, or None where the jet
-#: ring decides the search, and the bases of the dual side at an order,
-#: built from that side alone: (A2, A4) of the actual mirror map for p2,
-#: (B2, theta_4) of the actual log-Yukawa coupling for p1). The library
-#: functions they call are looked up at call time, so a tracer that
-#: rebinds them sees the calls.
+def _z_jet_symbol_values():
+    """The p1 symbols over Q(z), Laurent polynomials in the jets z', ...,
+    z'''' with RationalFunction coefficients: A2 = 10Q(z)z'^2 + 5z'''/z'
+    - (15/2)(z''/z')^2 and theta_4 = Qtilde(z)z'^4/(100z^4), the closed
+    forms of ``_mirror_side``, with ' the total derivative
+    D(c(z)m) = c'(z)z'm + c(z)D(m)."""
+    jets, weights = chain_ring(Z_JET_CHAINS)
+
+    def jet(exps, coeff):
+        return DiffPolynomial.monomial(jets, weights, exps, coeff)
+
+    z1 = jet((1, 0, 0, 0), 1)
+
+    def d(f):
+        return f.total_derivative() + f.map_coeffs(RationalFunction.deriv) * z1
+
+    a2 = (jet((2, 0, 0, 0), 10 * rational_q())
+          + jet((-1, 0, 1, 0), RationalFunction(5))
+          + jet((-2, 2, 0, 0), RationalFunction(Q(-15, 2))))
+    theta4 = jet((4, 0, 0, 0), rational_q_tilde() / poly([0, 0, 0, 0, 100]))
+    return _chain_values(P1_CHAINS, (a2, theta4), d)
+
+
+def _value_at(rf: RationalFunction, r):
+    """rf(r) at a rational r off its poles, by Horner's rule."""
+    def value(p):
+        acc = 0
+        for c in reversed(p.coeffs):
+            acc = acc * r + c
+        return acc * r ** p.val
+    return value(rf.num) / value(rf.den)
+
+
+def _z_points(values):
+    """The p1 symbols at z = 1/7, -2/11, 3/13, -4/17, ...: k/p at the k-th
+    prime p from 7. No such point is z = 0 or 5^-5, the poles of Q and
+    Qtilde, and with them of every coefficient of the symbols."""
+    primes = (n for n in count(7)
+              if all(n % d for d in range(2, isqrt(n) + 1)))
+    for k, p in enumerate(primes):
+        r = Q((-1) ** k * (k + 1), p)
+        yield [v.map_coeffs(lambda c: _value_at(c, r)) for v in values]
+
+
+#: mode -> (chains, the symbols in the jet ring the search decides in, its
+#: points: the symbols at each point whose rows the search stacks, and the
+#: bases of the dual side at an order, built from that side alone: (A2, A4)
+#: of the actual mirror map for p2, (B2, theta_4) of the actual log-Yukawa
+#: coupling for p1). The u-jet ring has rational coefficients and is its
+#: own one point. The library functions they call are looked up at call
+#: time, so a tracer that rebinds them sees the calls.
 _SEARCH_MODES = {
-    "p2": (P2_CHAINS, None,
+    "p2": (P2_CHAINS, _jet_symbol_values, lambda values: [values],
            lambda order: a_quantities(mirror_data(5, order + 1).z_of_q)),
-    "p1": (P1_CHAINS, _mirror_side,
+    "p1": (P1_CHAINS, _z_jet_symbol_values, _z_points,
            lambda order: _yukawa_side(yukawa_coupling(order + 1))),
 }
 
 
-def _stack_rows(monos, value_sets):
-    """The coefficient rows of the monomials on every (values, memo) pair:
-    on the u-monomials for jet values, on the known window for series.
-    Each memo keeps the monomials of its values across strata, as long as
-    a later stratum may extend them."""
-    rows = []
-    for values, memo in value_sets:
-        fs = [monomial_value(e, values, memo) for e in monos]
-        if isinstance(fs[0], DiffPolynomial):
-            keys = sorted(set().union(*(f.terms for f in fs)))
-            rows += [[f.terms.get(k, 0) for f in fs] for k in keys]
-        else:
-            rows += coefficient_rows(fs)
-    return rows
+def _stack_rows(monos, values, memo):
+    """The coefficient rows of the monomials, at one point's symbol values,
+    on the jet monomials. ``memo`` keeps the point's monomials across
+    strata, as long as a later stratum may extend them."""
+    fs = [monomial_value(e, values, memo) for e in monos]
+    keys = sorted(set().union(*(f.terms for f in fs)))
+    return [[f.terms.get(k, 0) for f in fs] for k in keys]
 
 
 def relation_search(mode: str = "p2", weight_bound: int = 12,
@@ -268,43 +301,44 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
     mode p2, arbitrary z for mode p1), then check it there and certify it
     on the actual mirror-map data of the dual side.
 
-    p2 decides each stratum exactly in the jet ring of u. p1 is seeded: it
-    draws two random inputs or more, until the rows outnumber the columns
-    by 10, and checks a found relation on two fresh ones. A draw that adds
-    no rows, or a relation that fails on the fresh inputs, is a truncation
-    artifact of ``order``: TruncationError. The lowest quasi-weight is 2,
-    so a ``weight_bound`` below 2 is refused.
+    Each stratum is decided in a jet ring: p2 in Q[u', u'', ...], p1 in
+    Q(z)[z', 1/z', z'', ...] at rational points z = r. A point's rows are
+    the monomials' coefficients on the jet monomials. Points are added
+    while the stratum's rank modulo the screen's prime is short and grew
+    with the last one; full rank proves that it has no relation. Otherwise
+    the exact nullspace of the stacked rows runs once, and a kernel vector
+    is checked on the ring's own symbols (over Q(z) for p1), which sets
+    ``verified_fresh``. ``order`` sets only the dual certificate's,
+    max(16, order // 2), and ``seed`` is only echoed. The lowest
+    quasi-weight is 2, so a ``weight_bound`` below 2 is refused.
     """
     if mode not in _SEARCH_MODES:
         raise ValueError(f"unknown search mode {mode!r}")
     if weight_bound < 2:
         raise ValueError(f"weight bound {weight_bound} is below the lowest "
                          "quasi-weight 2")
-    chains, bases, dual_bases = _SEARCH_MODES[mode]
+    chains, ring_values, at_points, dual_bases = _SEARCH_MODES[mode]
     symbols, weights = chain_ring(chains)
-    rng = random.Random(seed)
-
-    def draw():
-        z = _random_series(rng, order)
-        # an input of order 1 keeps no term, so it has no symbol values
-        return [(_chain_values(chains, bases(z)), {})] if z else []
-
-    value_sets = [] if bases else [(_jet_symbol_values(), {})]
-    scanned, found = [], {}
+    ring = ring_values()
+    points = iter(at_points(ring))
+    value_sets, scanned, found = [], [], {}
     for weight in range(2, weight_bound + 1):
         monos = _monomials(weights, weight)
         if not monos:
             continue
         scanned.append(weight)
-        rows = _stack_rows(monos, value_sets)
-        while bases and (len(value_sets) < 2 or len(rows) < len(monos) + 10):
-            new = draw()
-            more = _stack_rows(monos, new)
-            if not more:
-                raise TruncationError(f"{mode} inputs of order {order} add "
-                                      f"no rows at quasi-weight {weight}")
-            value_sets += new
+        rows, echelon, rank = [], {}, None
+        for k in count():
+            if k == len(value_sets):
+                values = next(points, None)
+                if values is None:
+                    break
+                value_sets.append((values, {}))
+            more = _stack_rows(monos, *value_sets[k])
             rows += more
+            last, rank = rank, _rank_mod_prime(more, len(monos), echelon)
+            if rank in (last, len(monos)):
+                break
         # the next stratum's monomials extend parents at most the heaviest
         # symbol's weight lighter than themselves; drop the rest
         lightest = weight + 1 - max(weights)
@@ -312,16 +346,13 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
             (values, {e: v for e, v in memo.items()
                       if sum(map(mul, weights, e)) >= lightest})
             for values, memo in value_sets]
+        if rank == len(monos):
+            continue
         basis = nullspace(rows, len(monos))
         if not basis:
             continue
         poly = DiffPolynomial(symbols, weights,
                               dict(zip(monos, map(rat, basis[0]))))
-        checks = draw() + draw() if bases else value_sets
-        if not all(poly.evaluate(values).is_zero() for values, _ in checks):
-            raise TruncationError(
-                f"the {mode} relation at quasi-weight {weight} fails on fresh "
-                f"inputs: an artifact of order {order}")
         # the coupled-equation content, not a formal consequence of the
         # search: the relation must also kill the dual side's symbols
         dual_order = max(16, order // 2)
@@ -330,7 +361,8 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
         found = {"weight": weight, "polynomial": poly,
                  "stratum_size": len(monos),
                  "degree_set": tuple(poly.degree_set()),
-                 "verified_fresh": True, "verified_dual": dual}
+                 "verified_fresh": poly.evaluate(ring).is_zero(),
+                 "verified_dual": dual}
         break
     return RelationSearchResult(
         mode=mode, found=bool(found), weights_scanned=tuple(scanned),

@@ -67,6 +67,18 @@ def _dense_window(s):
     return [0] * s.val + nums, d
 
 
+def _newton_orders(n):
+    """The precisions a Newton iteration from precision 1 steps through to
+    reach n: ceil(n / 2^k) for k = ..., 2, 1, 0. Each at most doubles the
+    last, and only the last step runs at nearly full size: 33 is reached
+    by 2, 3, 5, 9, 17, 33, where doubling would take 2, 4, ..., 32, 33."""
+    orders = []
+    while n > 1:
+        orders.append(n)
+        n = (n + 1) // 2
+    return orders[::-1]
+
+
 def _baby_steps(p, count):
     """Baby steps for evaluating p^0 .. p^(count-1), p with val >= 0.
 
@@ -238,9 +250,10 @@ class PowerSeries:
     def inverse(self):
         """Multiplicative inverse; the lowest known coefficient must be nonzero.
 
-        Newton iteration w <- w + w (1 - u w) on u = self / x^val, doubling
-        the precision up to order - val. An exact monomial c x^v has the
-        exact inverse x^(-v) / c; any other exact series has none.
+        Newton iteration w <- w + w (1 - u w) on u = self / x^val, at
+        most doubling the precision up to order - val (``_newton_orders``).
+        An exact monomial c x^v has the exact inverse x^(-v) / c; any other
+        exact series has none.
         """
         if not self.coeffs:
             raise ZeroDivisionError("inverse of a zero-to-order series")
@@ -251,9 +264,9 @@ class PowerSeries:
         L = self.order - self.val
         u = self.shift(-self.val)
         w = PowerSeries(self.var, 0, (1 / u.coeffs[0],), 1)
-        while w.order < L:
-            w = PowerSeries(self.var, 0, w.coeffs, min(2 * w.order, L))
-            w = w + w * (1 - u.truncate(w.order) * w)
+        for n in _newton_orders(L):
+            w = PowerSeries(self.var, 0, w.coeffs, n)
+            w = w + w * (1 - u.truncate(n) * w)
         return w.shift(-self.val)
 
     def __truediv__(self, other):
@@ -402,17 +415,17 @@ class PowerSeries:
     def exp(self):
         """Series exponential; requires valuation >= 1.
 
-        Newton iteration e <- e + e (self - log e), doubling the precision
-        up to the order.
+        Newton iteration e <- e + e (self - log e), at most doubling the
+        precision up to the order (``_newton_orders``).
         """
         if not self.is_zero() and self.val < 1:
             raise ValueError("exp requires zero constant term")
         self._require_finite("exp")
         N = self.order
         e = PowerSeries.one(self.var, min(N, 1))
-        while e.order < N:
-            e = PowerSeries(self.var, 0, e.coeffs, min(2 * e.order, N))
-            e = e + e * (self.truncate(e.order) - e.log())
+        for n in _newton_orders(N):
+            e = PowerSeries(self.var, 0, e.coeffs, n)
+            e = e + e * (self.truncate(n) - e.log())
         return e
 
     def log(self):

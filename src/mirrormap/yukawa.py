@@ -130,25 +130,6 @@ def verify_pandharipande(order: int):
     return [LogSeries([p.known_to(order) for p in r.parts]) for r in residuals]
 
 
-def pullback_logseries(ls: LogSeries, zq: PowerSeries,
-                       order: int) -> LogSeries:
-    """Carry a log-series in z through z = z(q): the result is
-    sum_k p_k(z(q)) (t + log(z/q))^k / k!, a LogSeries in q under t = log q.
-
-    Used to check that f_j/f_0 really equals the t-functions after the
-    change of variable t = log q.
-    """
-    shift = (zq / PowerSeries.identity("q", order + 1)).log()
-    log_z = LogSeries([shift, PowerSeries.one("q")])
-    power = LogSeries.from_power(PowerSeries.one("q", order))
-    result = LogSeries.from_power(PowerSeries.zero("q", order))
-    for k in range(ls.log_degree + 1):
-        pk = ls.part(k).compose(zq) * Q(1, math.factorial(k))
-        result = result + pk * power
-        power = power * log_z
-    return result
-
-
 def eisenstein_analog(order: int):
     """K0 = 1 + 240 sum sigma_3(n) q^n and F0 = t^3/6 + 240 sum sum q^{kl}/k^3."""
     K0 = lambert_expand([rat(240)] * order, order, constant=1)

@@ -85,8 +85,22 @@ def test_full_rank_mod_prime_implies_exact_full_rank(matrix):
     rows, ncols = matrix
     m = [[int(v * lcm(*(u.denominator for u in row))) for v in row]
          for row in rows]
-    if linalg._full_rank_mod_prime(m, ncols):
+    if linalg._rank_mod_prime(m, ncols) == ncols:
         assert _reference_basis(rows, ncols) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices(), st.integers(min_value=0, max_value=8))
+def test_rank_mod_prime_in_blocks(matrix, split):
+    # screening a matrix block by block into one echelon basis gives the
+    # rank of screening it at once, capped at the column count
+    rows, ncols = matrix
+    echelon = {}
+    first = linalg._rank_mod_prime(rows[:split], ncols, echelon)
+    assert first == linalg._rank_mod_prime(rows[:split], ncols)
+    assert linalg._rank_mod_prime(rows[split:], ncols, echelon) == \
+        linalg._rank_mod_prime(rows, ncols) == \
+        ncols - len(_reference_basis(rows, ncols))
 
 
 @pytest.mark.parametrize("rows, ncols", [
@@ -98,7 +112,7 @@ def test_full_rank_mod_prime_implies_exact_full_rank(matrix):
 def test_unlucky_prime_falls_through_to_exact(rows, ncols):
     # the rank drops modulo the prime but not over Q: the screen passes the
     # matrix on, and the exact elimination finds no kernel
-    assert not linalg._full_rank_mod_prime(rows, ncols)
+    assert linalg._rank_mod_prime(rows, ncols) < ncols
     assert nullspace(rows, ncols) == []
 
 

@@ -1,12 +1,13 @@
 """Coupled nonlinear identities and the quasi-homogeneous relation search."""
 
 import random
+from itertools import islice
 from math import prod
 from operator import mul
 
 import pytest
 
-from mirrormap import mirror, relations, yukawa
+from mirrormap import linalg, mirror, relations, yukawa
 from mirrormap.linalg import nullspace
 from mirrormap.mirror import mirror_data, verify_hodge_identity
 from mirrormap.operators import (RationalFunction, fourth_order_normal_form,
@@ -18,12 +19,21 @@ from mirrormap.relations import (P1_CHAINS, P2_CHAINS, a_quantities,
                                  verify_eq_fourth, verify_eq_schwarzian,
                                  verify_eq_second)
 from mirrormap.series import Q, PowerSeries, TruncationError, ladder, rat
-from mirrormap.wronskian import DiffPolynomial, chain_ring, schwarzian
+from mirrormap.wronskian import (DiffPolynomial, chain_ring, coefficient_rows,
+                                 monomial_value, schwarzian)
 from mirrormap.yukawa import (verify_pandharipande, verify_yukawa_identity,
                               yukawa_coupling)
 
 P2_SYMBOLS, P2_WEIGHTS = chain_ring(P2_CHAINS)
 _, P1_WEIGHTS = chain_ring(P1_CHAINS)
+
+
+def random_series(seed, order):
+    """q * (random integers in [-9, 9], the first nonzero) + O(q^order)."""
+    rng = random.Random(seed)
+    coeffs = [rng.choice([c for c in range(-9, 10) if c])]
+    coeffs += [rng.randint(-9, 9) for _ in range(order - 2)]
+    return PowerSeries("q", 1, [rat(c) for c in coeffs], order)
 
 
 class TestRationalData:
@@ -69,9 +79,9 @@ def hand_a_quantities(z):
 @pytest.mark.parametrize("source, n", [("mirror", n) for n in (9, 17, 21, 41)]
                          + [("random", seed) for seed in range(5)])
 def test_a_quantities_match_the_hand_expansion(source, n):
-    # the actual mirror map at order n; random order-40 inputs of p1's seed n
+    # the actual mirror map at order n; random order-40 inputs of seed n
     z = (mirror_data(5, n).z_of_q if source == "mirror"
-         else relations._random_series(random.Random(n), 40))
+         else random_series(n, 40))
     for derived, hand in zip(a_quantities(z), hand_a_quantities(z)):
         assert (derived.val, derived.order, derived.coeffs) == \
             (hand.val, hand.order, hand.coeffs)
@@ -230,73 +240,44 @@ class TestRelationSearch:
         with pytest.raises(ValueError):
             relation_search(mode="p3")
 
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_p1_inputs_without_rows_are_refused(self, order):
-        # A2 of an order-N input is known on q^1 .. q^(N-2)
-        with pytest.raises(TruncationError,
-                           match=f"order {order} add no rows at quasi-weight 2"):
-            relation_search(mode="p1", weight_bound=4, order=order)
-
-    @pytest.mark.parametrize("order, weight", [(3, 6), (4, 8)])
-    def test_p1_relation_failing_fresh_inputs_is_refused(self, order, weight):
-        # on one or two coefficients a draw cannot tell the strata's
-        # monomials apart: the kernel is a truncation artifact. Seed 0 hits
-        # it first at these weights; at order 16 it would be weight 24
-        with pytest.raises(TruncationError,
-                           match=f"quasi-weight {weight} fails on fresh "
-                                 f"inputs: an artifact of order {order}"):
-            relation_search(mode="p1", weight_bound=weight, order=order)
-
-    @pytest.mark.parametrize("order", [4, 6, 40])
-    def test_p1_stacks_ten_rows_more_than_columns(self, monkeypatch, order):
-        # a draw of order N gives N - 2 rows, not N - 1; there are at
-        # least two draws
-        shapes = []
-
-        def recorded(rows, ncols):
-            shapes.append((len(rows), ncols))
-            return nullspace(rows, ncols)
-
-        monkeypatch.setattr(relations, "nullspace", recorded)
-        relation_search(mode="p1", weight_bound=5, order=order)
-        assert len(shapes) == 4
-        assert all(nrows >= ncols + 10 for nrows, ncols in shapes), shapes
-        assert shapes[0][0] >= 2 * (order - 2)
-
     @pytest.mark.parametrize("bound", [1, 0, -3])
     def test_weight_bound_below_two(self, bound):
         # quasi-weights start at 2: such a bound would scan nothing
         with pytest.raises(ValueError, match="weight bound"):
             relation_search(mode="p2", weight_bound=bound)
 
+    def test_p1_order_sets_only_the_dual_certificate(self):
+        # p1 is decided at rational points of the z-jet ring, so a low
+        # order leaves no truncation artifact to refuse at any weight
+        res = relation_search(mode="p1", weight_bound=24, order=16)
+        assert not res.found
+        assert res.weights_scanned == tuple(range(2, 25))
+
 
 def test_stacking_forms_each_monomial_once(monkeypatch):
-    """Row stacking makes at most one series product per monomial of
-    degree >= 2 and value set: a monomial extends its parent, which has a
-    lower weight, and each value set keeps its monomials across strata.
-    Mode p1 stacks rows from random series; p2 stacks none."""
+    """Row stacking makes at most one jet-polynomial product per monomial
+    of degree >= 2 and point: a monomial extends its parent, which has a
+    lower weight, and each point keeps its monomials across strata."""
     products, stacking, largest = 0, False, {}
-    real_mul, real_stack = PowerSeries.__mul__, relations._stack_rows
+    real_mul, real_stack = DiffPolynomial.__mul__, relations._stack_rows
 
     def counted(self, other):
         nonlocal products
-        if stacking and isinstance(other, PowerSeries):
+        if stacking and isinstance(other, DiffPolynomial):
             products += 1
         return real_mul(self, other)
 
-    def stack(monos, value_sets):
+    def stack(monos, values, memo):
         nonlocal stacking
-        weight = sum(map(mul, P1_WEIGHTS, monos[0]))
-        for values, _ in value_sets:
-            largest[id(values)] = weight
+        largest[id(values)] = sum(map(mul, P1_WEIGHTS, monos[0]))
         stacking = True
         try:
-            return real_stack(monos, value_sets)
+            return real_stack(monos, values, memo)
         finally:
             stacking = False
 
-    monkeypatch.setattr(PowerSeries, "__mul__", counted)
-    monkeypatch.setattr(PowerSeries, "__rmul__", counted)
+    monkeypatch.setattr(DiffPolynomial, "__mul__", counted)
+    monkeypatch.setattr(DiffPolynomial, "__rmul__", counted)
     monkeypatch.setattr(relations, "_stack_rows", stack)
     relation_search(mode="p1", weight_bound=12, seed=0)
 
@@ -344,7 +325,7 @@ class TestJetRing:
         values, memo = relations._jet_symbol_values(), {}
         for weight in range(2, 13):
             monos = relations._monomials(P2_WEIGHTS, weight)
-            rows = relations._stack_rows(monos, [(values, memo)])
+            rows = relations._stack_rows(monos, values, memo)
             basis = nullspace(rows, len(monos))
             assert len(basis) == (weight == 12), weight
         assert (len(rows), len(monos)) == (64, 40)
@@ -359,7 +340,7 @@ class TestJetRing:
         table, kernels = [], {}
         for weight in range(12, 17):
             monos = relations._monomials(P2_WEIGHTS, weight)
-            rows = relations._stack_rows(monos, [(values, memo)])
+            rows = relations._stack_rows(monos, values, memo)
             basis = nullspace(rows, len(monos))
             kernels[weight] = monos, basis
             table.append((len(basis), len(monos), len(rows)))
@@ -405,14 +386,97 @@ class TestJetRing:
         assert len(nullspace([list(col) for col in zip(*jac)], 10)) == 3
 
 
+class TestZJetRing:
+    """The p1 symbols over Q(z), Laurent polynomials in z', ..., z''''."""
+
+    @pytest.mark.parametrize("source", ["random 0", "random 1", "mirror"])
+    def test_jet_symbols_match_series_symbols(self, source):
+        # differential test against the series reference: z^(k) = the k-th
+        # delta_q derivative of z, and each coefficient c(z) by eval_series
+        z = (mirror_data(5, 30).z_of_q if source == "mirror"
+             else random_series(int(source[-1]), 30))
+        jets = ladder(z.euler(), 3)
+        values = relations._z_jet_symbol_values()
+        reference = relations._chain_values(P1_CHAINS,
+                                            relations._mirror_side(z))
+        assert len(values) == len(reference) == 6
+        for poly, series in zip(values, reference):
+            value = sum(c.eval_series(z) * prod(j ** k for j, k in
+                                                zip(jets, e) if k)
+                        for e, c in poly.terms.items())
+            assert (value.val, value.order, value.coeffs) == \
+                (series.val, series.order, series.coeffs)
+
+    def test_nullities_per_point(self):
+        # the nullity modulo the prime after 1, 2, ... points: one point
+        # decides every stratum through weight 19; from weight 20 on, a
+        # point adds relations that hold there only, and the next one
+        # removes them
+        points = relations._z_points(relations._z_jet_symbol_values())
+        value_sets, table = [], {}
+        for weight in range(2, 23):
+            monos = relations._monomials(P1_WEIGHTS, weight)
+            echelon, nullities = {}, []
+            while len(nullities) < 4 and (not nullities or nullities[-1]):
+                k = len(nullities)
+                if k == len(value_sets):
+                    value_sets.append((next(points), {}))
+                rows = relations._stack_rows(monos, *value_sets[k])
+                rank = linalg._rank_mod_prime(rows, len(monos), echelon)
+                nullities.append(len(monos) - rank)
+            table[weight] = nullities
+        assert table == {**{w: [0] for w in range(2, 20)},
+                         20: [1, 0], 21: [0], 22: [2, 0]}
+
+    def test_i1_relation_holds_over_q_z_and_at_points(self):
+        # I1 = N1^2/(1024theta_4^5) is f(z) (see below), so over Q(z)
+        # N1^2 = 1024f(z)theta_4^5 exactly; with f(r) for f(z) it is a
+        # relation of weight 20 that holds at the point z = r only: the
+        # one-point kernel at weight 20, which the next point removes
+        ring = relations._z_jet_symbol_values()
+        a2, _, t4, t41, t42, _ = ring
+        n1 = 32 * a2 * t4 * t4 - 40 * t4 * t42 + 45 * t41 * t41
+        t4_5 = t4 * t4 * t4 * t4 * t4
+        assert (n1 * n1 - t4_5.map_coeffs(lambda c: 1024 * I1_OF_Z * c)
+                ).is_zero()
+        symbols, weights = chain_ring(P1_CHAINS)
+        e = ((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0),
+             (0, 0, 0, 0, 1, 0))
+        s_a2, s_t4, s_t41, s_t42 = (
+            DiffPolynomial.monomial(symbols, weights, x) for x in e)
+        s_n1 = 32 * s_a2 * s_t4 * s_t4 - 40 * s_t4 * s_t42 + 45 * s_t41 * s_t41
+        f = relations._value_at(I1_OF_Z, Q(1, 7))
+        at_r = s_n1 * s_n1 - 1024 * f * s_t4 * s_t4 * s_t4 * s_t4 * s_t4
+        first, second = islice(relations._z_points(ring), 2)
+        assert at_r.evaluate(first).is_zero()
+        assert not at_r.evaluate(second).is_zero()
+
+    def test_relation_at_the_points_only_is_not_verified(self, monkeypatch):
+        # points where A2' vanishes: the rank stops growing at weight 3,
+        # whose kernel A2' is a relation there, not over Q(z) and not on
+        # the actual data, so the search reports it unverified
+        chains, ring, points, dual = relations._SEARCH_MODES["p1"]
+
+        def degenerate(values):
+            for point in points(values):
+                yield [point[0], 0 * point[1], *point[2:]]
+
+        monkeypatch.setitem(relations._SEARCH_MODES, "p1",
+                            (chains, ring, degenerate, dual))
+        res = relation_search(mode="p1", weight_bound=12)
+        assert res.found and res.weight == 3
+        assert res.polynomial.terms == {(0, 1, 0, 0, 0, 0): 1}
+        assert not res.verified_fresh and not res.verified_dual
+
+
 @pytest.mark.parametrize("source", [f"random {n}" for n in range(4)]
                          + ["mirror"])
 def test_p1_closed_forms_are_the_pullback(source):
-    # a p1 draw takes A2 = 5(2Q(z)z'^2 + {z,t}) and theta_4 =
+    # the mirror side takes A2 = 5(2Q(z)z'^2 + {z,t}) and theta_4 =
     # Qtilde(z)(z'/z)^4/100 from the closed forms: they equal A2 and
     # theta_4 of the full pullback on the common window
     z = (mirror_data(5, 30).z_of_q if source == "mirror"
-         else relations._random_series(random.Random(int(source[-1])), 40))
+         else random_series(int(source[-1]), 40))
     pulled = relations._theta4_pair(*a_quantities(z))
     for closed, full in zip(relations._mirror_side(z), pulled):
         n = min(closed.order, full.order)
@@ -425,7 +489,7 @@ def test_p1_closed_forms_are_the_pullback(source):
 def test_dual_bases_are_the_mirror_side_closed_forms(mode):
     # each mode's dual certificate builds its own side only; through the
     # duality its values are the mirror map's A2 and theta_4 (and A4)
-    _, _, dual_bases = relations._SEARCH_MODES[mode]
+    *_, dual_bases = relations._SEARCH_MODES[mode]
     z = mirror_data(5, 17).z_of_q
     a2, theta4 = relations._mirror_side(z)
     want = ((a2, theta4) if mode == "p1" else
@@ -438,11 +502,12 @@ def test_dual_bases_are_the_mirror_side_closed_forms(mode):
 @pytest.mark.parametrize("order", [6, 40])
 def test_p1_draw_rows_follow_the_lowest_degree_monomials(order):
     # every symbol has valuation 1, and theta_4's closed form knows one
-    # term more than A2's: a monomial of degree d is known on q^d ..
-    # q^(order - 3 + d), one term further without an A2 factor. A draw
-    # stacks order - 2 rows where a lowest-degree monomial of the stratum
-    # has an A2 factor, order - 1 where none has (theta_4, theta_4' ...)
-    z = relations._random_series(random.Random(0), order)
+    # term more than A2's on a series z of order N: a monomial of degree d
+    # is known on q^d .. q^(N - 3 + d), one term further without an A2
+    # factor. A random z gives N - 2 coefficient rows where a
+    # lowest-degree monomial of the stratum has an A2 factor, N - 1 where
+    # none has (theta_4, theta_4' ...): the window that limited sampling z
+    z = random_series(0, order)
     a2, theta4 = relations._mirror_side(z)
     assert (a2.val, a2.order, theta4.val, theta4.order) == \
         (1, order - 1, 1, order)
@@ -452,10 +517,20 @@ def test_p1_draw_rows_follow_the_lowest_degree_monomials(order):
         monos = relations._monomials(P1_WEIGHTS, weight)
         low = min(map(sum, monos))
         a2_bound = any(e[0] or e[1] for e in monos if sum(e) == low)
-        rows = len(relations._stack_rows(monos, [(values, {})]))
+        memo = {}
+        rows = len(coefficient_rows([monomial_value(e, values, memo)
+                                     for e in monos]))
         assert rows == order - 2 + (not a2_bound), weight
         counts.add(rows)
     assert counts == {order - 2, order - 1}
+
+
+_P = poly([529, -49484500, 45050781250, -2326733398437500,
+           988330841064453125, -1326560974121093750000,
+           21457672119140625000000])
+#: f(z), the weight-0 invariant I1 of any z (see the test below).
+I1_OF_Z = RationalFunction(-5 * _P * _P, poly([0, 16])
+                           * poly([46, 509375, 156250000]) ** 5)
 
 
 @pytest.mark.parametrize("source", ["random 0", "random 1", "mirror"])
@@ -465,12 +540,8 @@ def test_p1_absolute_invariant_is_a_function_of_z(source):
     # I1 = N1^2/(1024theta_4^5) is f(z) = -5p^2/(16z(156250000z^2 + 509375z
     # + 46)^5) on any input z: on a random one as on the mirror map
     z = (mirror_data(5, 30).z_of_q if source == "mirror"
-         else relations._random_series(random.Random(int(source[-1])), 30))
-    p = poly([529, -49484500, 45050781250, -2326733398437500,
-              988330841064453125, -1326560974121093750000,
-              21457672119140625000000])
-    f = RationalFunction(-5 * p * p,
-                         poly([0, 16]) * poly([46, 509375, 156250000]) ** 5)
+         else random_series(int(source[-1]), 30))
+    f = I1_OF_Z
     a2, a4 = a_quantities(z)
     theta4 = a4 - Q(3, 10) * a2.euler(2) - Q(9, 100) * a2 * a2
     t1, t2 = theta4.euler(), theta4.euler(2)

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrormap.series import (BIG_ORDER, LogSeries, PowerSeries, Q,
-                              TruncationError, VariableMismatch, ladder, rat,
-                              series_from_record, series_to_record)
+                              TruncationError, VariableMismatch, _newton_orders,
+                              ladder, rat, series_from_record,
+                              series_to_record)
 
 
 def ps(coeffs, val=0, order=None, var="z"):
@@ -366,6 +367,36 @@ def test_inverse_matches_recurrence(a):
                  st.integers(0, 20).map(lambda n: PowerSeries.zero("z", n))))
 def test_exp_matches_recurrence(f):
     assert _as_tuple(f.exp()) == _exp_reference(f)
+
+
+@pytest.mark.parametrize("n, orders", [
+    (1, []), (2, [2]), (3, [2, 3]), (32, [2, 4, 8, 16, 32]),
+    (33, [2, 3, 5, 9, 17, 33]), (101, [2, 4, 7, 13, 26, 51, 101])])
+def test_newton_orders(n, orders):
+    # ceil(n / 2^k) from the top: each step at most doubles the last, so
+    # one Newton step per order keeps every coefficient exact
+    assert _newton_orders(n) == orders
+
+
+def test_newton_steps_run_at_the_scheduled_orders(monkeypatch):
+    # at order 33 only the last step runs at nearly full size: the step
+    # before it is at 17, where doubling from 1 ran at 32 and then 33
+    orders = []
+    product = PowerSeries.__mul__
+
+    def recorded(self, other):
+        result = product(self, other)
+        orders.append(result.order)
+        return result
+
+    monkeypatch.setattr(PowerSeries, "__mul__", recorded)
+    monkeypatch.setattr(PowerSeries, "__rmul__", recorded)
+    f = PowerSeries("z", 1, [1, -2, 3, Q(1, 2)], 33)
+    (1 + f).inverse()
+    assert orders == [n for n in [2, 3, 5, 9, 17, 33] for _ in range(2)]
+    orders.clear()
+    f.exp()
+    assert max(orders) == 33 and max(n for n in orders if n < 33) == 17
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,15 +7,30 @@ import pytest
 from mirrormap.mirror import mirror_data
 from mirrormap.operators import frobenius_basis
 from mirrormap import yukawa
-from mirrormap.series import PowerSeries, Q, TruncationError, rat
+from mirrormap.series import LogSeries, PowerSeries, Q, TruncationError, rat
 from mirrormap.yukawa import (eisenstein_analog, evaluate_F0_at,
                               instanton_numbers, lambert_expand, prepotential,
-                              pullback_logseries, t_functions,
-                              verify_pandharipande, verify_yukawa_identity,
-                              yukawa_coupling, yukawa_from_definition)
+                              t_functions, verify_pandharipande,
+                              verify_yukawa_identity, yukawa_coupling,
+                              yukawa_from_definition)
 
 FIRST_INSTANTONS = [2875, 609250, 317206375, 242467530000,
                     229305888887625]
+
+
+def pullback_logseries(ls, zq, order):
+    """Carry a log-series in z through z = z(q): the result is
+    sum_k p_k(z(q)) (t + log(z/q))^k / k!, a LogSeries in q under t = log q.
+    """
+    shift = (zq / PowerSeries.identity("q", order + 1)).log()
+    log_z = LogSeries([shift, PowerSeries.one("q")])
+    power = LogSeries.from_power(PowerSeries.one("q", order))
+    result = LogSeries.from_power(PowerSeries.zero("q", order))
+    for k in range(ls.log_degree + 1):
+        pk = ls.part(k).compose(zq) * Q(1, math.factorial(k))
+        result = result + pk * power
+        power = power * log_z
+    return result
 
 
 class TestCoupling:
