@@ -1,5 +1,6 @@
 """Exact linear algebra: integer nullspaces by fraction-free elimination,
-behind a rank screen modulo a prime."""
+and the rank screen modulo a prime with which the relation search decides
+its full-rank strata."""
 
 from __future__ import annotations
 
@@ -48,12 +49,11 @@ def _rank_mod_prime(rows, ncols, echelon=None):
 def nullspace(rows, ncols=None):
     """Basis of the exact nullspace of the rational row matrix.
 
-    Each row is scaled to integers. A screen modulo the prime PRIME
-    decides the full-rank matrices: integer rows have no more rank modulo
-    a prime than over Q, so full column rank modulo PRIME means the
-    nullspace is zero. Any other matrix is brought to echelon form by
-    fraction-free (Bareiss) elimination, and back substitution stays in
-    the integers; an unlucky prime costs that time, never a wrong basis.
+    Each row is scaled to integers, the matrix is brought to echelon form
+    by fraction-free (Bareiss) elimination, and back substitution stays in
+    the integers. No rank screen runs here: a caller with many rows and a
+    likely full rank, as the relation search, screens with
+    ``_rank_mod_prime`` first and hands on only what the screen left open.
     There is one basis vector per free column: it is primitive, its own
     free coordinate is positive and the other free coordinates are zero.
     With no rows every vector of the ``ncols``-dimensional space is in the
@@ -61,8 +61,6 @@ def nullspace(rows, ncols=None):
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    if _rank_mod_prime(rows, ncols) == ncols:
-        return []
     m = [_integer_window(row)[0] for row in rows]
     pivots = []  # (column, echelon row)
     prev = 1

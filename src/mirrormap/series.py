@@ -101,7 +101,7 @@ class PowerSeries:
             order = BIG_ORDER
         cs = [rat(c) for c in coeffs]
         if val + len(cs) > order:
-            cs = cs[: order - val]
+            cs = cs[: max(order - val, 0)]
         lo = 0
         while lo < len(cs) and cs[lo] == 0:
             lo += 1
@@ -197,10 +197,9 @@ class PowerSeries:
             return NotImplemented
         self._check_var(other)
         order = min(self.order, other.order)
-        val = min(self.val, other.val, order)
+        val = min(self.val, other.val)
         ends = [s.val + len(s.coeffs) for s in (self, other) if s.coeffs]
         hi = min(order, max(ends, default=val))
-        hi = max(hi, val)
         cs = [ZERO] * (hi - val)
         for s in (self, other):
             for i, c in enumerate(s.coeffs):
@@ -344,9 +343,7 @@ class PowerSeries:
         the baby steps inner^0 .. inner^(m-1), and Horner's rule runs over
         the blocks in the giant step inner^m, one series product per block.
         """
-        v = inner.val
-        if inner.is_zero():
-            v = inner.order
+        v = inner.val  # a zero inner's val is its order
         if v < 1:
             raise ValueError("composition requires inner valuation >= 1")
         if self.coeffs and self.val < 0:
@@ -520,17 +517,13 @@ class LogSeries:
         return LogSeries([-p for p in self.parts])
 
     def __sub__(self, other):
-        if isinstance(other, PowerSeries):
-            other = LogSeries.from_power(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Q)):
-            return LogSeries([p * other for p in self.parts])
-        if isinstance(other, PowerSeries):
+        if isinstance(other, (int, Q, PowerSeries)):
             return LogSeries([p * other for p in self.parts])
         if not isinstance(other, LogSeries):
             return NotImplemented
@@ -582,13 +575,11 @@ def ladder(f, count, step=methodcaller("euler")):
 
 def series_to_record(f: PowerSeries) -> dict:
     """Shared exact wire format: coefficients as 'p/q' strings."""
-    n = min(f.order, f.val + len(f.coeffs))
-    val = min(f.val, n)
     return {
         "variable": f.var,
-        "valuation": int(val),
+        "valuation": int(f.val),
         "order": int(f.order) if f.order < BIG_ORDER else None,
-        "coeffs": [str(f.coeff(k)) for k in range(val, n)],
+        "coeffs": [str(c) for c in f.coeffs],
     }
 
 

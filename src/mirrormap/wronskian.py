@@ -40,7 +40,6 @@ def coefficient_rows(fs):
     deg = max(f.log_degree for f in fs)
     order = min(f.order for f in fs)
     val = min(min(p.val for p in f.parts) for f in fs)
-    val = min(val, order)
     # rows past every stored coefficient are zero and constrain nothing;
     # this bound also keeps exact (order-less) inputs finite
     end = max((p.val + len(p.coeffs) for f in fs for p in f.parts
@@ -48,8 +47,7 @@ def coefficient_rows(fs):
     rows = []
     for n in range(val, min(order, end)):
         for j in range(deg + 1):
-            rows.append([f.part(j).coeff(n) if n < f.part(j).order else 0
-                         for f in fs])
+            rows.append([f.part(j).coeff(n) for f in fs])
     return rows
 
 

@@ -1,5 +1,6 @@
 """Exact nullspaces against a plain-Fraction Gauss-Jordan reference, and
-the rank screen modulo a prime in front of them."""
+the rank screen modulo a prime that the relation search runs before it
+hands a stratum to them."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -110,8 +111,8 @@ def test_rank_mod_prime_in_blocks(matrix, split):
     ([[PRIME * 2 ** 700 + 1, 1], [1, 1]], 2),
 ])
 def test_unlucky_prime_falls_through_to_exact(rows, ncols):
-    # the rank drops modulo the prime but not over Q: the screen passes the
-    # matrix on, and the exact elimination finds no kernel
+    # the rank drops modulo the prime but not over Q: the screen leaves the
+    # matrix open, and the exact elimination finds no kernel
     assert linalg._rank_mod_prime(rows, ncols) < ncols
     assert nullspace(rows, ncols) == []
 

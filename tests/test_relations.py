@@ -288,6 +288,26 @@ def test_stacking_forms_each_monomial_once(monkeypatch):
     assert 0 < products <= sum(map(products_through, largest.values()))
 
 
+def test_search_screens_each_stratum_once(monkeypatch):
+    """The search's screen is the only one: p2 to weight 12 screens each
+    of its 11 strata once, and hands the stalled stratum 12 to the exact
+    nullspace, which eliminates it without screening it again."""
+    calls = {"_rank_mod_prime": 0, "nullspace": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name, getattr(linalg, name))
+        monkeypatch.setattr(linalg, name, wrapper)
+        monkeypatch.setattr(relations, name, wrapper)
+    assert relation_search(mode="p2", weight_bound=12).found
+    assert calls == {"_rank_mod_prime": 11, "nullspace": 1}
+
+
 #: The p2 relation at quasi-weight 12, as ``relation_search`` prints it.
 P2_RELATION = (
     "(-256)*B4^3 + (-128)*B2''*B4^2 + (48)*B2''^2*B4 + (448)*B2'*B4*B4' "

@@ -428,6 +428,26 @@ def test_known_to_refuses_short_series():
         f.known_to(6)
 
 
+def test_cut_below_the_valuation_is_zero():
+    f = PowerSeries("q", 10, [1, 1, 1], 13)
+    for g in (f.known_to(8), f.truncate(8), PowerSeries("q", 10, [1], 8)):
+        assert g.is_zero() and g.val == g.order == 8 and g.coeffs == ()
+        with pytest.raises(TruncationError):
+            g.coeff(8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series(), st.integers(-6, 16))
+def test_cut_keeps_every_coefficient_below_the_order(f, cut):
+    # the window rule: val <= order and val + len(coeffs) <= order, with
+    # the input's coefficients below the cut
+    cuts = [f.truncate(cut)] + ([f.known_to(cut)] if cut <= f.order else [])
+    for g in cuts:
+        assert g.order == min(cut, f.order)
+        assert g.val <= g.order and g.val + len(g.coeffs) <= g.order
+        assert all(g.coeff(n) == f.coeff(n) for n in range(-6, g.order))
+
+
 @st.composite
 def _compose_pair(draw):
     """An outer power series (finite or exact) and an inner series of
