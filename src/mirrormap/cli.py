@@ -107,7 +107,7 @@ def yukawa(order, fmt, out):
 def instantons(count, fmt, out):
     """Emit the instanton numbers n_1..n_count."""
     from .yukawa import instanton_numbers, yukawa_coupling
-    table = instanton_numbers(yukawa_coupling(count + 2), count)
+    table = instanton_numbers(yukawa_coupling(count + 1), count)
     _emit({"n": [str(x) for x in table.n],
            "N": [str(x) for x in table.N]}, fmt, out)
 

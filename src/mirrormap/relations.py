@@ -321,12 +321,9 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
     symbols, weights = chain_ring(chains)
     ring = ring_values()
     points = iter(at_points(ring))
-    value_sets, scanned, found = [], [], {}
+    value_sets, found = [], {}
     for weight in range(2, weight_bound + 1):
         monos = _monomials(weights, weight)
-        if not monos:
-            continue
-        scanned.append(weight)
         rows, echelon, rank = [], {}, None
         for k in count():
             if k == len(value_sets):
@@ -365,5 +362,6 @@ def relation_search(mode: str = "p2", weight_bound: int = 12,
                  "verified_dual": dual}
         break
     return RelationSearchResult(
-        mode=mode, found=bool(found), weights_scanned=tuple(scanned),
+        mode=mode, found=bool(found),
+        weights_scanned=tuple(range(2, weight + 1)),
         seed=seed, **found)

@@ -158,19 +158,12 @@ class PowerSeries:
         return not self.is_zero()
 
     def __eq__(self, other):
-        """Coefficient-wise equality on the common known window."""
-        if isinstance(other, (int, Q)):
-            other = PowerSeries(self.var, 0, (rat(other),), self.order)
-        if not isinstance(other, PowerSeries):
+        """Equality on the common known window: the difference is zero."""
+        if not isinstance(other, (int, Q, PowerSeries)):
             return NotImplemented
-        if self.var != other.var:
+        if isinstance(other, PowerSeries) and self.var != other.var:
             return False
-        n0 = min(self.val, other.val)
-        # past both stored supports every known coefficient is zero on
-        # both sides; this bound also keeps exact (order-less) series finite
-        ends = [s.val + len(s.coeffs) for s in (self, other) if s.coeffs]
-        n1 = min(self.order, other.order, max(ends, default=n0))
-        return all(self.coeff(n) == other.coeff(n) for n in range(n0, n1))
+        return (self - other).is_zero()
 
     __hash__ = None
 

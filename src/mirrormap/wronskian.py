@@ -79,8 +79,9 @@ def wronskian(fs, decide=True):
 def schwarzian(f: PowerSeries) -> PowerSeries:
     """{f, t} = f'''/f' - (3/2)(f''/f')^2 with ' = delta_q (t = log q)."""
     f1, f2, f3 = ladder(f.euler(), 2)
-    r = f2 / f1
-    return f3 / f1 - Q(3, 2) * (r * r)
+    inv = f1.inverse()
+    r = f2 * inv
+    return f3 * inv - Q(3, 2) * (r * r)
 
 
 def chain_ring(chains):

@@ -16,7 +16,7 @@ from .series import LogSeries, PowerSeries, Q, ZERO, rat
 
 @dataclass(frozen=True)
 class InstantonTable:
-    """Lambert-inverted instanton numbers n_l and the sums N_l = [q^l] F."""
+    """Lambert-inverted instanton numbers n_l and N_l = [q^l]F = [q^l]K/l^3."""
     n: tuple
     N: tuple
 
@@ -57,12 +57,10 @@ def integrality_suite(order: int):
     return items
 
 
-def _multiple_cover(n) -> list:
-    """[N_1, ..., N_len(n)] with N_m = sum_{k|m} n_{m/k} / k^3, from
-    n = [n_1, n_2, ...]."""
-    return [sum((n[m // k - 1] / rat(k) ** 3
-                 for k in range(1, m + 1) if m % k == 0), ZERO)
-            for m in range(1, len(n) + 1)]
+def _cover_sums(K: PowerSeries, count: int) -> list:
+    """[N_1, ..., N_count] with N_m = [q^m]K / m^3: for
+    K = K(0) + sum n_l l^3 q^l/(1-q^l) this is sum_{k|m} n_{m/k} / k^3."""
+    return [K.coeff(m) / m ** 3 for m in range(1, count + 1)]
 
 
 def instanton_numbers(K: PowerSeries, count: int) -> InstantonTable:
@@ -82,7 +80,7 @@ def instanton_numbers(K: PowerSeries, count: int) -> InstantonTable:
         if nm.denominator != 1:
             raise ArithmeticError(f"non-integral instanton number at l={m}: {nm}")
         n[m] = nm
-    return InstantonTable(n=tuple(n[1:]), N=tuple(_multiple_cover(n[1:])))
+    return InstantonTable(n=tuple(n[1:]), N=tuple(_cover_sums(K, count)))
 
 
 def lambert_expand(n, order: int, constant=5) -> PowerSeries:
@@ -97,17 +95,18 @@ def lambert_expand(n, order: int, constant=5) -> PowerSeries:
     return PowerSeries("q", 0, cs, order)
 
 
-def _t_cubic(c3, qpart: PowerSeries) -> LogSeries:
-    """c3 t^3 + qpart as a LogSeries in q (part 3 holds 3! c3)."""
-    zero = PowerSeries.zero("q")
-    return LogSeries([qpart, zero, zero, PowerSeries.monomial("q", 0, 6 * c3)])
+def _cubic_potential(K: PowerSeries) -> LogSeries:
+    """F = K(0) t^3/6 + sum_{m>=1} ([q^m]K/m^3) q^m, known to K's order, as
+    a LogSeries in q (part 3 holds 3! [t^3] = K(0)): d^3F/dt^3 = K."""
+    zero = PowerSeries.zero(K.var)
+    qpart = PowerSeries(K.var, 1, _cover_sums(K, K.order - 1), K.order)
+    cubic = PowerSeries.monomial(K.var, 0, K.coeff(0))
+    return LogSeries([qpart, zero, zero, cubic])
 
 
 def prepotential(order: int) -> LogSeries:
     """F(t) = (5/6) t^3 + sum N_l q^l, with d^3F/dt^3 = K(q)."""
-    K = yukawa_coupling(order)
-    table = instanton_numbers(K, order - 1)
-    return _t_cubic(Q(5, 6), PowerSeries("q", 1, table.N, order))
+    return _cubic_potential(yukawa_coupling(order))
 
 
 def t_functions(order: int):
@@ -133,8 +132,7 @@ def verify_pandharipande(order: int):
 def eisenstein_analog(order: int):
     """K0 = 1 + 240 sum sigma_3(n) q^n and F0 = t^3/6 + 240 sum sum q^{kl}/k^3."""
     K0 = lambert_expand([rat(240)] * order, order, constant=1)
-    big_n = _multiple_cover([Q(240)] * (order - 1))
-    return K0, _t_cubic(Q(1, 6), PowerSeries("q", 1, big_n, order))
+    return K0, _cubic_potential(K0)
 
 
 def evaluate_F0_at(t_value: float, order: int = 12) -> float:

@@ -67,6 +67,20 @@ class TestYukawaCommands:
         data = json.loads(res.output)
         assert data["n"] == ["2875", "609250", "317206375"]
 
+    def test_instantons_ask_one_order_past_the_count(self, runner,
+                                                     monkeypatch):
+        # n_count reads K through q^count, so count + 1 terms suffice
+        asked = []
+
+        def recording(order):
+            asked.append(order)
+            return yukawa_coupling(order)
+
+        monkeypatch.setattr(yukawa, "yukawa_coupling", recording)
+        res = runner.invoke(main, ["instantons", "--count", "10"])
+        assert res.exit_code == 0, res.output
+        assert asked == [11]
+
     def test_eval_f0_17_digits(self, runner):
         res = runner.invoke(main, ["eval-f0", "--t", "-6.283185307179586",
                                    "--format", "json"])

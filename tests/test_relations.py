@@ -240,6 +240,12 @@ class TestRelationSearch:
         with pytest.raises(ValueError):
             relation_search(mode="p3")
 
+    @pytest.mark.parametrize("weights", [P2_WEIGHTS, P1_WEIGHTS])
+    def test_every_stratum_has_monomials(self, weights):
+        # both rings hold symbols of weight 2 and 3, so no stratum the
+        # search scans is empty
+        assert all(relations._monomials(weights, w) for w in range(2, 31))
+
     @pytest.mark.parametrize("bound", [1, 0, -3])
     def test_weight_bound_below_two(self, bound):
         # quasi-weights start at 2: such a bound would scan nothing

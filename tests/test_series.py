@@ -61,6 +61,9 @@ class TestArithmetic:
         (ps([1, 2], order=BIG_ORDER), ps([1, 2, 7], order=3), False),
         (ps([1, 2], order=BIG_ORDER), ps([1, 2], order=4), True),
         (PowerSeries.zero("z"), ps([0, 0, 1], order=BIG_ORDER), False),
+        (ps([1, 2], order=3), ps([1, 3], order=3), False),
+        (ps([1]), ps([1], var="q"), False),
+        (ps([1]), 1.0, False),  # NotImplemented on both sides
     ])
     def test_exact_equality_is_finite(self, a, b, equal):
         assert (a == b) is equal and (b == a) is equal

@@ -104,6 +104,18 @@ class TestSchwarzian:
         g = (2 * f + 3) / (f + 5)
         assert (schwarzian(f) - schwarzian(g)).is_zero()
 
+    def test_inverts_f_prime_once(self, monkeypatch):
+        calls = []
+        real = PowerSeries.inverse
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(PowerSeries, "inverse", counted)
+        schwarzian(PowerSeries("z", 1, [rat(1), rat(4), rat(-3)], 12))
+        assert len(calls) == 1
+
 
 class TestROperator:
     def test_m2_is_schwarzian_form(self):

@@ -132,6 +132,19 @@ class TestPrepotential:
         assert F.part(3).coeff(0) == 5
         assert F.part(2).is_zero() and F.part(1).is_zero()
 
+    def test_F_is_read_off_K(self, monkeypatch):
+        # [q^m]F = [q^m]K / m^3: no Lambert inversion on the way to F
+        def refuse(K, count):
+            raise AssertionError("instanton_numbers called")
+
+        monkeypatch.setattr(yukawa, "instanton_numbers", refuse)
+        F = prepotential(16)
+        assert F.part(0).order == 16
+        assert all(F.part(0).coeff(m) == yukawa_coupling(16).coeff(m) / m ** 3
+                   for m in range(1, 16))
+        assert len(t_functions(16)) == 4
+        assert all(r.is_zero() for r in verify_pandharipande(12))
+
 
 class TestTFunctions:
     def test_pandharipande_residuals_vanish(self):
