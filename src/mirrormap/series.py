@@ -11,14 +11,15 @@ LogSeries in q whose part k holds k! [t^k]).
 All coefficients are arbitrary-precision rationals, always kept in lowest
 terms with positive denominator, so integrality checks reduce to
 ``denominator == 1``. The coefficient type is ``fractions.Fraction``.
-Products convolve integer numerators over one common denominator per
-operand and build each result coefficient once, so the rational type
-normalises only once per output coefficient. Inverse, exponential,
-reversion and composition are built on that product and keep no
-coefficient recurrences of their own: inverse and exponential by Newton
-iteration; reversion (Lagrange inversion) and composition by baby steps
-and giant steps, which need about 2 sqrt(N) products at order N, not one
-per coefficient.
+One integer short product, ``_convolve``, convolves numerators over one
+common denominator per operand; products build each result coefficient
+once, so the rational type normalises only once per output coefficient.
+Composition is Paterson-Stockmeyer evaluation on the same integer
+windows, about 2 sqrt(N) short products at order N, with the rationals
+built once for the result. Inverse, exponential and reversion are Newton
+iterations, each step writing its correction after the known
+coefficients: inverse and exponential through the product, reversion
+through composition. None keeps a coefficient recurrence of its own.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction as Q
 from math import comb, isqrt, lcm
-from operator import methodcaller, mul
+from operator import methodcaller
 
 #: Sentinel truncation order for series that are known exactly (e.g. the
 #: implicit zero parts of a LogSeries).
@@ -67,30 +68,89 @@ def _dense_window(s):
     return [0] * s.val + nums, d
 
 
-def _newton_orders(n):
-    """The precisions a Newton iteration from precision 1 steps through to
-    reach n: ceil(n / 2^k) for k = ..., 2, 1, 0. Each at most doubles the
-    last, and only the last step runs at nearly full size: 33 is reached
-    by 2, 3, 5, 9, 17, 33, where doubling would take 2, 4, ..., 32, 33."""
+def _newton_orders(n, lag=0):
+    """The precisions a Newton iteration steps through to reach n, when a
+    step from precision k reaches 2k - lag: ceil((n + lag) / 2) below each,
+    down to the start at 1 + lag. Only the last step runs at nearly full
+    size: 33 is reached by 2, 3, 5, 9, 17, 33, where doubling would take
+    2, 4, ..., 32, 33."""
     orders = []
-    while n > 1:
+    while n > 1 + lag:
         orders.append(n)
-        n = (n + 1) // 2
+        n = (n + 1 + lag) // 2
     return orders[::-1]
 
 
-def _baby_steps(p, count):
-    """Baby steps for evaluating p^0 .. p^(count-1), p with val >= 0.
+def _convolve(a, b, n):
+    """The coefficients below x^n of the product of integer lists a and b
+    (index = exponent), at most as many as the product has. A square
+    (``b is a``) forms each cross product once."""
+    n = max(min(n, len(a) + len(b) - 1), 0) if a and b else 0
+    out = [0] * n
+    if b is a:
+        for i, x in enumerate(a[:(n + 1) // 2]):
+            if x:
+                out[2 * i] += x * x
+                x += x
+                for j, y in enumerate(a[i + 1:n - i], 2 * i + 1):
+                    if y:
+                        out[j] += x * y
+        return out
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[:n - i], i):
+                if y:
+                    out[j] += x * y
+    return out
 
-    Returns the dense windows of p^0 .. p^(m-1), m = max(1, isqrt(count)),
-    each as (numerators, denominator), and the giant step p^m; every power
-    is truncated to p's order.
+
+def _paterson_stockmeyer(c, b, d, v, n):
+    """Integer numerators, and their denominator, of sum_k c[k] (b/d)^k
+    below x^n; b is a dense integer window of valuation v >= 1.
+
+    The K coefficients are cut into blocks of m = isqrt(K). Each block is
+    an integer combination of the baby steps b^0 .. b^(m-1), and Horner's
+    rule runs over the blocks in the giant step b^m. The block at
+    ``start`` is later multiplied by b^start, of valuation start v, so it
+    and its Horner product are cut below x^(n - start v). Every power
+    keeps the denominator d^k, so block and total stay integer windows.
     """
-    m = max(1, isqrt(count))
-    powers = [PowerSeries.one(p.var, p.order), p]
+    m = max(1, isqrt(len(c)))
+    powers = [[1], b]
     while len(powers) <= m:
-        powers.append((powers[-1] * p).truncate(p.order))
-    return [_dense_window(s) for s in powers[:m]], powers[m]
+        k = len(powers)
+        half = powers[k // 2]
+        powers.append(_convolve(half, half, n) if k % 2 == 0
+                      else _convolve(powers[-1], b, n))
+    giant = powers.pop()
+    longest = max(map(len, powers))
+    blocks = range(0, len(c), m)
+    total = []   # over d^(m - 1 + m e) after e Horner steps
+    for e, start in enumerate(reversed(blocks)):
+        cut = max(n - start * v, 0)
+        total = _convolve(giant, total, cut)
+        total += [0] * (min(cut, longest) - len(total))
+        for i, ck in enumerate(c[start:start + m]):
+            if ck:
+                ck *= d ** (m - 1 - i + m * e)
+                for j, x in enumerate(powers[i][:cut]):
+                    total[j] += ck * x
+    return total, d ** (m * len(blocks) - 1)
+
+
+def _tail(s, k):
+    """The terms of s from x^k up to its order."""
+    return PowerSeries(s.var, max(k, s.val), s.coeffs[max(k - s.val, 0):],
+                       s.order)
+
+
+def _extend(head, tail):
+    """head's coefficients below its order, then tail's up to tail's order:
+    one Newton step, whose correction ``tail`` starts at head's order."""
+    k = head.order
+    cs = list(head.coeffs) + [ZERO] * (k - head.val - len(head.coeffs))
+    cs += [tail.coeff(n) for n in range(k, tail.order)]
+    return PowerSeries(head.var, head.val, cs, tail.order)
 
 
 class PowerSeries:
@@ -225,17 +285,11 @@ class PowerSeries:
         self._check_var(other)
         order = min(self.order + other.val, other.order + self.val)
         val = self.val + other.val
-        n = max(min(order - val, len(self.coeffs) + len(other.coeffs) - 1), 0)
+        n = order - val
         a, da = _integer_window(self.coeffs[:n])
-        b, db = _integer_window(other.coeffs[:n])
-        cs = [0] * n
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b[:n - i]):
-                    if y:
-                        cs[i + j] += x * y
-        d = da * db
-        return PowerSeries(self.var, val, [Q(c, d) for c in cs], order)
+        b, db = (a, da) if other is self else _integer_window(other.coeffs[:n])
+        return PowerSeries(self.var, val,
+                           [Q(c, da * db) for c in _convolve(a, b, n)], order)
 
     __rmul__ = __mul__
 
@@ -257,8 +311,9 @@ class PowerSeries:
         u = self.shift(-self.val)
         w = PowerSeries(self.var, 0, (1 / u.coeffs[0],), 1)
         for n in _newton_orders(L):
-            w = PowerSeries(self.var, 0, w.coeffs, n)
-            w = w + w * (1 - u.truncate(n) * w)
+            w_n = PowerSeries(self.var, 0, w.coeffs, n)
+            error = _tail(u.truncate(n) * w_n, w.order)   # u w - 1
+            w = _extend(w, -(w_n * error))
         return w.shift(-self.val)
 
     def __truediv__(self, other):
@@ -331,10 +386,10 @@ class PowerSeries:
         is cut to the order that keeps p(inner)'s, so an exact inner works.
 
         Paterson-Stockmeyer evaluation (M. S. Paterson and L. J. Stockmeyer,
-        SIAM J. Comput. 2 (1973) 60-66): the K outer coefficients are cut
-        into blocks of m = isqrt(K), each block is one integer combination of
-        the baby steps inner^0 .. inner^(m-1), and Horner's rule runs over
-        the blocks in the giant step inner^m, one series product per block.
+        SIAM J. Comput. 2 (1973) 60-66) on integer windows over one
+        denominator, ``_paterson_stockmeyer``: about 2 sqrt(K) short
+        products for K outer coefficients, and the result's rationals are
+        built once.
         """
         v = inner.val  # a zero inner's val is its order
         if v < 1:
@@ -349,58 +404,33 @@ class PowerSeries:
         if k is not None:
             bounds.append(inner.order + (k - 1) * v)
         N = min(bounds)
-        var = inner.var
         if not self.coeffs:
-            return PowerSeries.zero(var, N)
+            return PowerSeries.zero(inner.var, N)
         # no coefficient below x^N reads an unknown one of inner, so inner
         # may be read as known, padded with zeros, up to N
-        inner = PowerSeries(var, inner.val, inner.coeffs, N)
-        c, dc = _integer_window(self.coeffs)
-        c = [0] * self.val + c
-        babies, giant = _baby_steps(inner, len(c))
-        d = lcm(*(db for _, db in babies))
-        m = len(babies)
-        total = None
-        for start in reversed(range(0, len(c), m)):
-            acc = [0] * max(len(b) for b, _ in babies)
-            for ck, (b, db) in zip(c[start:start + m], babies):
-                if ck:
-                    ck *= d // db
-                    for j, x in enumerate(b):
-                        acc[j] += ck * x
-            block = PowerSeries(var, 0, [Q(x, dc * d) for x in acc], N)
-            total = block if total is None else total * giant + block
-        return total
+        c, dc = _dense_window(self)
+        b, d = _dense_window(inner.truncate(N))
+        total, dt = _paterson_stockmeyer(c, b, d, v, N)
+        return PowerSeries(inner.var, 0, [Q(x, dc * dt) for x in total], N)
 
     def revert(self, new_var="q"):
         """Compositional inverse of a series with valuation exactly 1.
 
-        Lagrange inversion: with h = x / self, [q^n] g = [x^(n-1)] h^n / n.
-        Johansson's baby-step/giant-step reversion (F. Johansson, "A fast
-        algorithm for reversion of power series", Math. Comp. 84 (2015)
-        475-484, arXiv:1108.4772): with m = isqrt(N - 1) and n = a m + i,
-        h^n = (h^m)^a h^i, so each [x^(n-1)] h^n is one integer dot product
-        of a giant power with a baby step, and about 2 sqrt(N) series
-        products replace the N of the plain power loop.
+        Newton iteration through ``compose`` (R. P. Brent and H. T. Kung,
+        J. ACM 25 (1978) 581-595): g <- g - (self(g) - q) g'. The iterate's
+        own derivative stands in for 1 / self'(g), so a step from precision
+        k reaches 2k - 1 (``_newton_orders`` with lag 1), and the last
+        step, one composition at full order, costs most.
         """
         if self.val != 1:
             raise ValueError("reversion requires valuation exactly 1")
         self._require_finite("revert")
-        N = self.order
-        h = self.shift(-1).inverse()
-        babies, giant = _baby_steps(h, N - 1)
-        lead = []
-        power, g, dg = None, [1], 1   # (h^m)^a and its window, a = 0
-        for start in range(0, N, len(babies)):
-            if start:
-                power = giant if power is None else power * giant
-                g, dg = _dense_window(power)
-            for n, (b, db) in enumerate(babies, start):
-                if 0 < n < N:
-                    lo, hi = max(0, n - len(b)), min(len(g), n)
-                    acc = sum(map(mul, g[lo:hi], reversed(b[n - hi:n - lo])))
-                    lead.append(Q(acc, dg * db))
-        return PowerSeries(new_var, 1, lead, N)._euler_integral()
+        g = PowerSeries(new_var, 1, (1 / self.coeffs[0],), 2)
+        for n in _newton_orders(self.order, lag=1):
+            g_n = PowerSeries(new_var, 1, g.coeffs, n)
+            error = _tail(self.truncate(n).compose(g_n), g.order)
+            g = _extend(g, -(error * g_n.deriv()))
+        return g
 
     def exp(self):
         """Series exponential; requires valuation >= 1.
@@ -414,8 +444,11 @@ class PowerSeries:
         N = self.order
         e = PowerSeries.one(self.var, min(N, 1))
         for n in _newton_orders(N):
-            e = PowerSeries(self.var, 0, e.coeffs, n)
-            e = e + e * (self.truncate(n) - e.log())
+            e_n = PowerSeries(self.var, 0, e.coeffs, n)
+            log = e_n.log()
+            error = PowerSeries(self.var, e.order, [
+                self.coeff(i) - log.coeff(i) for i in range(e.order, n)], n)
+            e = _extend(e, e_n * error)
         return e
 
     def log(self):

@@ -22,10 +22,13 @@ class InstantonTable:
 
 
 def yukawa_from_definition(order: int) -> PowerSeries:
-    """K(q) = 5 (delta_q z/z)^3 / ((1 - 5^5 z(q)) f0~^2); K(0) = 5."""
+    """K(q) = 5 (delta_q z/z)^3 / ((1 - 5^5 z(q)) f0~^2); K(0) = 5.
+
+    Formed as 5 (delta_q z)^3 / (z^3 (1 - 5^5 z) f0~^2), with one inverse."""
     md = mirror_data(5, order)
-    f0t = md.f0_tilde
-    return (5 * hodge_ratio(md) * (f0t * f0t).inverse()).known_to(order)
+    z, f0t = md.z_of_q, md.f0_tilde
+    denominator = z ** 3 * (1 - 5 ** 5 * z) * (f0t * f0t)
+    return (5 * z.euler() ** 3 * denominator.inverse()).known_to(order)
 
 
 @lru_cache(maxsize=8)

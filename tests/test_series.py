@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirrormap import series
 from mirrormap.series import (BIG_ORDER, LogSeries, PowerSeries, Q,
-                              TruncationError, VariableMismatch, _newton_orders,
-                              ladder, rat, series_from_record,
+                              TruncationError, VariableMismatch, _convolve,
+                              _newton_orders, ladder, rat, series_from_record,
                               series_to_record)
 
 
@@ -264,13 +265,46 @@ def _series(draw):
 @settings(max_examples=200, deadline=None)
 @given(_series(), _series())
 def test_mul_matches_fraction_schoolbook(a, b):
-    val, coeffs, order = _schoolbook_product(a, b)
-    c = a * b
-    assert (c.val, c.order) == (val, order)
-    assert tuple(_frac(x) for x in c.coeffs) == coeffs
-    for x in c.coeffs:
-        assert isinstance(x, Q) and x.denominator > 0
-        assert gcd(int(x.numerator), int(x.denominator)) == 1
+    for x, y in ((a, b), (a, a)):   # a * a takes the square path
+        val, coeffs, order = _schoolbook_product(x, y)
+        c = x * y
+        assert (c.val, c.order) == (val, order)
+        assert tuple(_frac(t) for t in c.coeffs) == coeffs
+        for t in c.coeffs:
+            assert isinstance(t, Q) and t.denominator > 0
+            assert gcd(int(t.numerator), int(t.denominator)) == 1
+
+
+def _int_schoolbook(a, b, n):
+    """Plain-int product of integer lists (index = exponent), cut below n
+    and at the product's own length."""
+    length = min(n, len(a) + len(b) - 1) if a and b else 0
+    out = [0] * length
+    for i in range(len(a)):
+        for j in range(len(b)):
+            if i + j < len(out):
+                out[i + j] += a[i] * b[j]
+    return out
+
+
+_int_lists = st.lists(st.one_of(st.just(0), st.integers(-10 ** 40, 10 ** 40)),
+                      max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_lists, _int_lists, st.integers(0, 26))
+def test_convolve_matches_int_schoolbook(a, b, n):
+    assert _convolve(a, b, n) == _int_schoolbook(a, b, n)
+    assert _convolve(a, list(a), n) == _int_schoolbook(a, a, n)
+    assert _convolve(a, a, n) == _int_schoolbook(a, a, n)   # b is a
+
+
+@pytest.mark.parametrize("a, b, n, out", [
+    ([], [1, 2], 5, []), ([1, 2], [], 5, []), ([1, 2], [3], 0, []),
+    ([0, 0, 1], [0, 2], 9, [0, 0, 0, 2]), ([1, 1], [1, 1], 2, [1, 2])])
+def test_convolve_edges(a, b, n, out):
+    # empty operands, n = 0, zero entries and a cut inside the product
+    assert _convolve(a, b, n) == out
 
 
 @settings(max_examples=200, deadline=None)
@@ -379,6 +413,14 @@ def test_newton_orders(n, orders):
     # ceil(n / 2^k) from the top: each step at most doubles the last, so
     # one Newton step per order keeps every coefficient exact
     assert _newton_orders(n) == orders
+
+
+@pytest.mark.parametrize("n, orders", [
+    (2, []), (3, [3]), (4, [3, 4]), (33, [3, 5, 9, 17, 33]),
+    (101, [3, 5, 8, 14, 26, 51, 101]), (102, [3, 5, 8, 14, 27, 52, 102])])
+def test_reversion_orders(n, orders):
+    # revert's step from k reaches 2k - 1, from the start at 2
+    assert _newton_orders(n, lag=1) == orders
 
 
 def test_newton_steps_run_at_the_scheduled_orders(monkeypatch):
@@ -555,24 +597,26 @@ def test_compose_matches_term_by_term(pair):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 17, 26, 37, 50])
 def test_revert_at_block_boundaries(n):
-    """Orders around the squares, where the baby-step count m = isqrt(n-1)
-    changes and the last giant block is full or holds a single term."""
+    """Orders 2 to 5, where the outer series has 2 to 5 terms and
+    compose's blocks of m = isqrt(K) are full or ragged, and larger orders,
+    some at or just below 2^k + 2, where the Newton schedule
+    n -> n // 2 + 1 gains a step."""
     f = PowerSeries("z", 1, [Q(-3, 2), Q(1, 3), 0, Q(2, 5)], n)
     assert _as_tuple(f.revert("z")) == _revert_reference(f)
 
 
 def test_revert_and_compose_product_counts(monkeypatch):
-    """Baby-step/giant-step kernels form O(sqrt(N)) series products; the
-    term-by-term loops formed one per coefficient."""
+    """Paterson-Stockmeyer forms O(sqrt(N)) short products per composition,
+    and revert's Newton steps one composition each at orders that halve;
+    the term-by-term loops formed one product per coefficient."""
     calls = []
-    product = PowerSeries.__mul__
+    product = series._convolve
 
-    def counted(self, other):
-        calls.append(other)
-        return product(self, other)
+    def counted(a, b, n):
+        calls.append(n)
+        return product(a, b, n)
 
-    monkeypatch.setattr(PowerSeries, "__mul__", counted)
-    monkeypatch.setattr(PowerSeries, "__rmul__", counted)
+    monkeypatch.setattr(series, "_convolve", counted)
     g = PowerSeries("z", 1, [1, -1, 2], 102).revert("q")
     assert len(calls) <= 40
     calls.clear()

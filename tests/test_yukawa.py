@@ -55,6 +55,20 @@ class TestCoupling:
         assert mirror_data.cache_info().misses == 1
         assert K.order == 12
 
+    def test_inverts_once(self, monkeypatch):
+        # one inverse of z^3 (1 - 5^5 z) f0~^2, not of z, 1 - 5^5 z and f0~^2
+        mirror_data(5, 12)
+        calls = []
+        real = PowerSeries.inverse
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(PowerSeries, "inverse", counted)
+        yukawa_from_definition(12)
+        assert len(calls) == 1
+
     def test_short_bundle_raises(self, monkeypatch):
         # a bundle known to fewer terms must not yield a silently short K
         monkeypatch.setattr(yukawa, "mirror_data",
