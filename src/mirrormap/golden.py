@@ -63,7 +63,11 @@ GOLDEN_TABLES = {
 
 
 def _compare(name, computed, table, order):
-    """One report item: pass / fail(first_mismatch) / partial."""
+    """One report item: pass / fail(first_mismatch) / partial; a series in
+    another variable than the table's fails."""
+    if computed.var != table["var"]:
+        return {"item": name, "status": "fail",
+                "expected": table["var"], "computed": computed.var}
     val = table["val"]
     end = val + len(table["coeffs"])
     limit = min(order + 1, end, computed.order)
@@ -74,8 +78,7 @@ def _compare(name, computed, table, order):
         if got != want:
             return {"item": name, "status": "fail", "first_mismatch": n,
                     "expected": str(want), "computed": str(got)}
-    out = {"item": name, "status": status, "checked_through": limit - 1}
-    return out
+    return {"item": name, "status": status, "checked_through": limit - 1}
 
 
 def golden_report(order: int = 24):

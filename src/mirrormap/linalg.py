@@ -46,7 +46,7 @@ def _rank_mod_prime(rows, ncols, echelon=None):
     return len(pivots)
 
 
-def nullspace(rows, ncols=None):
+def nullspace(rows, ncols):
     """Basis of the exact nullspace of the rational row matrix.
 
     Each row is scaled to integers, the matrix is brought to echelon form
@@ -59,8 +59,6 @@ def nullspace(rows, ncols=None):
     With no rows every vector of the ``ncols``-dimensional space is in the
     nullspace.
     """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
     m = [_integer_window(row)[0] for row in rows]
     pivots = []  # (column, echelon row)
     prev = 1

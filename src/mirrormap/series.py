@@ -4,9 +4,8 @@ The basic carrier is :class:`PowerSeries`: a finite window of a Laurent
 series sum c_n x^n with n running from ``val`` up to (but not including)
 ``order``; exponents >= ``order`` are unknown and must never be read.
 :class:`LogSeries` layers a polynomial-in-log(x) structure on top of it.
-The same two classes carry the jet ring Q[H]/(H^r) (a PowerSeries in H
-of order r) and polynomials in t = log q with q-series coefficients (a
-LogSeries in q whose part k holds k! [t^k]).
+LogSeries also carries polynomials in t = log q with q-series
+coefficients: a LogSeries in q whose part k holds k! [t^k].
 
 All coefficients are arbitrary-precision rationals, always kept in lowest
 terms with positive denominator, so integrality checks reduce to
@@ -16,10 +15,10 @@ common denominator per operand; products build each result coefficient
 once, so the rational type normalises only once per output coefficient.
 Composition is Paterson-Stockmeyer evaluation on the same integer
 windows, about 2 sqrt(N) short products at order N, with the rationals
-built once for the result. Inverse, exponential and reversion are Newton
-iterations, each step writing its correction after the known
-coefficients: inverse and exponential through the product, reversion
-through composition. None keeps a coefficient recurrence of its own.
+built once for the result. Inverse, exponential and reversion are one
+Newton iteration, ``_newton``, each naming its residual and factor; a
+step writes its correction after the known coefficients. None keeps a
+coefficient recurrence of its own.
 """
 
 from __future__ import annotations
@@ -81,6 +80,24 @@ def _newton_orders(n, lag=0):
     return orders[::-1]
 
 
+def _newton(g, n, residual, factor, lag=0):
+    """Newton iteration g <- g - residual(g) factor(g), through the
+    precisions of ``_newton_orders(n, lag)``. At precision k, with g known
+    below k0, the residual is read from x^k0 on, and the correction is
+    written after g's known coefficients."""
+    for k in _newton_orders(n, lag):
+        k0 = g.order
+        g = PowerSeries(g.var, g.val, g.coeffs, k)
+        r = residual(g)
+        r = PowerSeries(g.var, max(k0, r.val), r.coeffs[max(k0 - r.val, 0):],
+                        r.order)
+        step = r * factor(g)
+        g = PowerSeries(g.var, g.val, g.coeffs
+                        + (ZERO,) * (k0 - g.val - len(g.coeffs))
+                        + tuple(-step.coeff(i) for i in range(k0, k)), k)
+    return g
+
+
 def _convolve(a, b, n):
     """The coefficients below x^n of the product of integer lists a and b
     (index = exponent), at most as many as the product has. A square
@@ -136,21 +153,6 @@ def _paterson_stockmeyer(c, b, d, v, n):
                 for j, x in enumerate(powers[i][:cut]):
                     total[j] += ck * x
     return total, d ** (m * len(blocks) - 1)
-
-
-def _tail(s, k):
-    """The terms of s from x^k up to its order."""
-    return PowerSeries(s.var, max(k, s.val), s.coeffs[max(k - s.val, 0):],
-                       s.order)
-
-
-def _extend(head, tail):
-    """head's coefficients below its order, then tail's up to tail's order:
-    one Newton step, whose correction ``tail`` starts at head's order."""
-    k = head.order
-    cs = list(head.coeffs) + [ZERO] * (k - head.val - len(head.coeffs))
-    cs += [tail.coeff(n) for n in range(k, tail.order)]
-    return PowerSeries(head.var, head.val, cs, tail.order)
 
 
 class PowerSeries:
@@ -296,8 +298,9 @@ class PowerSeries:
     def inverse(self):
         """Multiplicative inverse; the lowest known coefficient must be nonzero.
 
-        Newton iteration w <- w + w (1 - u w) on u = self / x^val, at
-        most doubling the precision up to order - val (``_newton_orders``).
+        ``_newton`` on u = self / x^val with residual u w and factor w:
+        w <- w - (u w - 1) w, at most doubling the precision up to
+        order - val. The constant 1 falls below the old precision.
         An exact monomial c x^v has the exact inverse x^(-v) / c; any other
         exact series has none.
         """
@@ -307,14 +310,10 @@ class PowerSeries:
             return PowerSeries(self.var, -self.val, (1 / self.coeffs[0],),
                                BIG_ORDER)
         self._require_finite("inverse")
-        L = self.order - self.val
         u = self.shift(-self.val)
         w = PowerSeries(self.var, 0, (1 / u.coeffs[0],), 1)
-        for n in _newton_orders(L):
-            w_n = PowerSeries(self.var, 0, w.coeffs, n)
-            error = _tail(u.truncate(n) * w_n, w.order)   # u w - 1
-            w = _extend(w, -(w_n * error))
-        return w.shift(-self.val)
+        return _newton(w, u.order, lambda w: u.truncate(w.order) * w,
+                       lambda w: w).shift(-self.val)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Q)):
@@ -417,39 +416,34 @@ class PowerSeries:
         """Compositional inverse of a series with valuation exactly 1.
 
         Newton iteration through ``compose`` (R. P. Brent and H. T. Kung,
-        J. ACM 25 (1978) 581-595): g <- g - (self(g) - q) g'. The iterate's
-        own derivative stands in for 1 / self'(g), so a step from precision
-        k reaches 2k - 1 (``_newton_orders`` with lag 1), and the last
-        step, one composition at full order, costs most.
+        J. ACM 25 (1978) 581-595): ``_newton`` with residual self(g) and
+        factor g', g <- g - (self(g) - q) g'; the q term falls below the
+        old precision. The iterate's own derivative stands in for
+        1 / self'(g), so a step from precision k reaches 2k - 1 (lag 1),
+        and the last step, one composition at full order, costs most.
         """
         if self.val != 1:
             raise ValueError("reversion requires valuation exactly 1")
         self._require_finite("revert")
         g = PowerSeries(new_var, 1, (1 / self.coeffs[0],), 2)
-        for n in _newton_orders(self.order, lag=1):
-            g_n = PowerSeries(new_var, 1, g.coeffs, n)
-            error = _tail(self.truncate(n).compose(g_n), g.order)
-            g = _extend(g, -(error * g_n.deriv()))
-        return g
+        return _newton(g, self.order,
+                       lambda g: self.truncate(g.order).compose(g),
+                       PowerSeries.deriv, lag=1)
 
     def exp(self):
         """Series exponential; requires valuation >= 1.
 
-        Newton iteration e <- e + e (self - log e), at most doubling the
-        precision up to the order (``_newton_orders``).
+        ``_newton`` with residual log e - self and factor e:
+        e <- e - (log e - self) e, at most doubling the precision up to
+        the order.
         """
         if not self.is_zero() and self.val < 1:
             raise ValueError("exp requires zero constant term")
         self._require_finite("exp")
-        N = self.order
-        e = PowerSeries.one(self.var, min(N, 1))
-        for n in _newton_orders(N):
-            e_n = PowerSeries(self.var, 0, e.coeffs, n)
-            log = e_n.log()
-            error = PowerSeries(self.var, e.order, [
-                self.coeff(i) - log.coeff(i) for i in range(e.order, n)], n)
-            e = _extend(e, e_n * error)
-        return e
+        e = PowerSeries.one(self.var, min(self.order, 1))
+        return _newton(e, self.order,
+                       lambda e: e.log() - self.truncate(e.order),
+                       lambda e: e)
 
     def log(self):
         """Series logarithm; requires constant term 1."""

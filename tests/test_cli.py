@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -178,6 +180,37 @@ class TestVerify:
         res = runner.invoke(main, args)
         assert res.exit_code == 0, res.output
 
+    def test_nonzero_residual_exits_1(self, runner, monkeypatch):
+        # a residual check, and verify all through it, fail on a q^3 term
+        monkeypatch.setattr(yukawa, "verify_yukawa_identity",
+                            lambda order: PowerSeries.monomial("q", 3,
+                                                               order=order))
+        res = runner.invoke(main, ["verify", "eq19", "--format", "json"])
+        assert res.exit_code == 1
+        assert json.loads(res.output)["pass"] is False
+        res = runner.invoke(main, ["verify", "all", "--order", "8",
+                                   "--format", "json"])
+        assert res.exit_code == 1
+        data = json.loads(res.output)
+        assert data["pass"] is False
+        assert [c["check"] for c in data["checks"] if not c["pass"]] == \
+            ["eq19"]
+
+    def test_non_integral_coefficient_exits_1(self, runner, monkeypatch):
+        real = yukawa.integrality_suite
+
+        def failing(order):
+            first, *rest = real(order)
+            return [{**first, "pass": False, "first_failure": 1}, *rest]
+
+        monkeypatch.setattr(yukawa, "integrality_suite", failing)
+        res = runner.invoke(main, ["verify", "integrality", "--order", "8",
+                                   "--format", "json"])
+        assert res.exit_code == 1
+        data = json.loads(res.output)
+        assert data["pass"] is False
+        assert [it["pass"] for it in data["items"]].count(False) == 1
+
     def test_integrality(self, runner):
         res = runner.invoke(main, ["verify", "integrality", "--order", "30",
                                    "--format", "json"])
@@ -213,6 +246,22 @@ class TestGolden:
         assert len(bad) == 1
         assert bad[0]["item"] == "yukawa.K"
         assert bad[0]["first_mismatch"] == 2
+
+    def test_series_in_another_variable_fails(self, runner, monkeypatch):
+        # z(q) relabelled to z keeps every coefficient, not its variable
+        real = golden.mirror_data
+
+        def relabelled(s, order):
+            md = real(s, order)
+            return replace(md, z_of_q=md.z_of_q.relabel("z")) if s == 5 \
+                else md
+
+        monkeypatch.setattr(golden, "mirror_data", relabelled)
+        bad = [it for it in golden_report(24) if it["status"] == "fail"]
+        assert bad == [{"item": "s5.z_of_q", "status": "fail",
+                        "expected": "q", "computed": "z"}]
+        res = runner.invoke(main, ["golden"])
+        assert res.exit_code == 1
 
 
 class TestWronskianCommand:
@@ -308,6 +357,25 @@ class TestWronskianCommand:
         res = runner.invoke(main, ["wronskian", "--input", str(path)])
         assert res.exit_code == 2
 
+    def test_zero_without_dependence_is_indeterminate(self, runner, tmp_path,
+                                                       monkeypatch):
+        # 1 + 2z and 2 + 4z have a zero Wronskian; with no dependence
+        # found, that zero is not certified
+        path = tmp_path / "dependent.json"
+        path.write_text(json.dumps([
+            {"variable": "z", "valuation": 0, "order": None,
+             "coeffs": [1, 2]},
+            {"variable": "z", "valuation": 0, "order": None,
+             "coeffs": [2, 4]},
+        ]))
+        # the package exports the function under the module's name
+        monkeypatch.setattr(import_module("mirrormap.wronskian"),
+                            "coefficient_dependence", lambda fs: [])
+        res = runner.invoke(main, ["wronskian", "--input", str(path),
+                                   "--format", "json"])
+        assert res.exit_code == 1
+        assert json.loads(res.output)["status"] == "indeterminate"
+
 
 class TestSearchRelation:
     def test_p2_succeeds(self, runner):
@@ -347,6 +415,16 @@ class TestSearchRelation:
                                    "--format", "json"])
         assert res.exit_code == 1
         assert json.loads(res.output)["found"] is False
+
+    def test_short_dual_side_is_usage_error(self, runner, monkeypatch):
+        # a mirror bundle known to fewer terms than the dual certificate's
+        # order raises TruncationError, which the command reports
+        real = relations.mirror_data
+        monkeypatch.setattr(relations, "mirror_data",
+                            lambda s, order: real(s, order // 2))
+        res = runner.invoke(main, ["search-relation", "--mode", "p2"])
+        assert res.exit_code == 2
+        assert "only known to order" in res.output
 
     @pytest.mark.parametrize("bound", ["1", "0", "-3"])
     def test_weight_bound_below_two_is_usage_error(self, runner, bound):

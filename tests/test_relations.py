@@ -314,6 +314,31 @@ def test_search_screens_each_stratum_once(monkeypatch):
     assert calls == {"_rank_mod_prime": 11, "nullspace": 1}
 
 
+def test_unlucky_prime_leaves_the_summary_unchanged(monkeypatch):
+    """A screen that under-reports a full-rank stratum, as an unlucky prime
+    would, hands it to the exact nullspace, which finds no relation there:
+    the search goes on to the same result."""
+    expected = relation_search("p2", 12).summary()
+    screen, real_nullspace = relations._rank_mod_prime, relations.nullspace
+    under_reported, bases = [], []
+
+    def unlucky(rows, ncols, echelon=None):
+        rank = screen(rows, ncols, echelon)
+        if rank == ncols and not under_reported:
+            under_reported.append(ncols)
+            return rank - 1
+        return rank
+
+    def recorded(rows, ncols):
+        bases.append(real_nullspace(rows, ncols))
+        return bases[-1]
+
+    monkeypatch.setattr(relations, "_rank_mod_prime", unlucky)
+    monkeypatch.setattr(relations, "nullspace", recorded)
+    assert relation_search("p2", 12).summary() == expected
+    assert under_reported and bases[0] == [] and len(bases) == 2
+
+
 #: The p2 relation at quasi-weight 12, as ``relation_search`` prints it.
 P2_RELATION = (
     "(-256)*B4^3 + (-128)*B2''*B4^2 + (48)*B2''^2*B4 + (448)*B2'*B4*B4' "

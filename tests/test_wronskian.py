@@ -79,7 +79,6 @@ class TestWronskian:
 
     def test_nullspace_of_no_rows_is_whole_space(self):
         assert nullspace([], 2) == [[1, 0], [0, 1]]
-        assert nullspace([]) == []
 
     def test_coefficient_dependence_finds_relation(self):
         f = ps([2, 0, 1], order=8)
