@@ -2,16 +2,29 @@
 suite, and the relation search.  Exit codes: 0 success, 1 verification
 failure, 2 usage error."""
 
-from __future__ import annotations
-
 import math
+import re
 import sys
+from argparse import ArgumentParser, ArgumentTypeError
+from functools import partial
 from importlib import import_module
-
-import click
 
 # Each command imports the library modules it runs inside its body, so a
 # fresh process compiles only those; ``import mirrormap.cli`` loads none.
+
+
+class _Parser(ArgumentParser):
+    """Usage errors print the usage line and ``Error: <message>`` to stderr
+    and exit 2; no option is read from a prefix of its name."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        # -1e-3 is a value, as -1 and -0.5 are, and not an option name
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"Error: {message}\n")
 
 
 def _lib(module, name):
@@ -24,8 +37,7 @@ def _render_text(data, indent=0):
     pad = "  " * indent
     lines = []
     if isinstance(data, dict):
-        for k in data:
-            v = data[k]
+        for k, v in data.items():
             if isinstance(v, (dict, list)):
                 lines.append(f"{pad}{k}:")
                 lines.extend(_render_text(v, indent + 1))
@@ -50,37 +62,16 @@ def _emit(data, fmt, out):
     else:
         text = "\n".join(_render_text(data))
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ArgumentTypeError(f"--out: {exc}")
+        with fh:
             fh.write(text + "\n")
     else:
-        click.echo(text)
+        sys.stdout.write(text + "\n")
 
 
-def _common(fn):
-    fn = click.option("--format", "fmt", type=click.Choice(["json", "text"]),
-                      default="text", show_default=True)(fn)
-    fn = click.option("--out", type=click.Path(dir_okay=False),
-                      default=None, help="Write the report to a file.")(fn)
-    return fn
-
-
-def _order(default, minimum=8):
-    return click.option("--order", type=click.IntRange(min=minimum),
-                        default=default, show_default=True)
-
-
-@click.group()
-def main():
-    """Exact mirror-map and Yukawa-coupling computations."""
-
-
-@main.command()
-@click.option("--s", "s", type=click.IntRange(min=3), default=5,
-              show_default=True)
-@_order(64)
-@click.option("--emit", type=click.Choice(["z_of_q", "q_of_z", "f0_tilde"]),
-              default="z_of_q", show_default=True)
-@_common
 def mirror(s, order, emit, fmt, out):
     """Emit one series of the mirror-map bundle for the given s."""
     from .mirror import mirror_data
@@ -90,9 +81,6 @@ def mirror(s, order, emit, fmt, out):
            **series_to_record(getattr(md, emit).truncate(order))}, fmt, out)
 
 
-@main.command()
-@_order(24)
-@_common
 def yukawa(order, fmt, out):
     """Emit the Yukawa coupling K(q)."""
     from .series import series_to_record
@@ -100,10 +88,6 @@ def yukawa(order, fmt, out):
     _emit(series_to_record(yukawa_coupling(order)), fmt, out)
 
 
-@main.command()
-@click.option("--count", type=click.IntRange(min=1), default=10,
-              show_default=True)
-@_common
 def instantons(count, fmt, out):
     """Emit the instanton numbers n_1..n_count."""
     from .yukawa import instanton_numbers, yukawa_coupling
@@ -112,9 +96,6 @@ def instantons(count, fmt, out):
            "N": [str(x) for x in table.N]}, fmt, out)
 
 
-@main.command("prepotential")
-@_order(16)
-@_common
 def prepotential_cmd(order, fmt, out):
     """Emit the prepotential as a polynomial in t with q-series parts."""
     from .series import series_to_record
@@ -124,27 +105,19 @@ def prepotential_cmd(order, fmt, out):
                         for k in range(F.log_degree + 1)]}, fmt, out)
 
 
-@main.command("eval-f0")
-@click.option("--t", "t_value", type=float, required=True)
-@_order(12)
-@_common
 def eval_f0(t_value, order, fmt, out):
     """Evaluate the cubic Eisenstein-style potential at a real t < 0."""
     if not math.isfinite(t_value):
-        raise click.UsageError("--t must be a finite number")
+        raise ArgumentTypeError("--t must be a finite number")
     from .yukawa import evaluate_F0_at
     try:
         value = evaluate_F0_at(t_value, order)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise ArgumentTypeError(str(exc))
     _emit({"t": format(t_value, ".17g"),
            "value": format(value, ".17g")}, fmt, out)
 
 
-@main.command("wronskian")
-@click.option("--input", "path", type=click.Path(exists=True, dir_okay=False),
-              required=True, help="File with one series record or a list of them.")
-@_common
 def wronskian_cmd(path, fmt, out):
     """Wronskian determinant of the series in the input file."""
     import json
@@ -163,28 +136,19 @@ def wronskian_cmd(path, fmt, out):
         if not isinstance(records, list) or not records:
             raise ValueError("input contains no series")
         fs = [series_from_record(rec) for rec in records]
-    except ValueError as exc:
-        raise click.UsageError(f"{path}: {exc}")
+    except (OSError, ValueError) as exc:
+        raise ArgumentTypeError(f"{path}: {exc}")
     if len({f.var for f in fs}) > 1:
-        raise click.UsageError(f"{path}: series in different variables")
+        raise ArgumentTypeError(f"{path}: series in different variables")
     try:
         w = wronskian(fs)
     except IndeterminateWronskian as exc:
         _emit({"status": "indeterminate", "detail": str(exc)}, fmt, out)
-        sys.exit(1)
+        return 1
     # wire records carry no logs, so w is a log-free LogSeries
     _emit(series_to_record(w.power_part()), fmt, out)
 
 
-@main.command("search-relation")
-@click.option("--mode", type=click.Choice(["p1", "p2"]), default="p2",
-              show_default=True)
-@click.option("--weight-bound", type=click.IntRange(min=2), default=12,
-              show_default=True)
-@_order(40, 16)
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Echoed in the output; neither mode uses it.")
-@_common
 def search_relation(mode, weight_bound, order, seed, fmt, out):
     """Scan quasi-weight strata for an identically-vanishing relation.
 
@@ -197,27 +161,18 @@ def search_relation(mode, weight_bound, order, seed, fmt, out):
         result = relation_search(mode=mode, weight_bound=weight_bound,
                                  order=order, seed=seed)
     except TruncationError as exc:
-        raise click.UsageError(str(exc))
+        raise ArgumentTypeError(str(exc))
     _emit(result.summary(), fmt, out)
-    if not (result.found and result.verified_fresh and result.verified_dual):
-        sys.exit(1)
+    return 0 if result.found and result.verified_fresh \
+        and result.verified_dual else 1
 
 
-@main.command()
-@_order(24, 24)
-@_common
 def golden(order, fmt, out):
     """Compare computed series against the embedded golden tables."""
     from .golden import golden_report
     report = golden_report(order)
     _emit({"items": report}, fmt, out)
-    if any(item["status"] == "fail" for item in report):
-        sys.exit(1)
-
-
-@main.group()
-def verify():
-    """Verification drivers; exit 1 on any nonzero residual."""
+    return 1 if any(item["status"] == "fail" for item in report) else 0
 
 
 #: The residual checks, in the order ``verify all`` runs them: (name, help,
@@ -241,35 +196,16 @@ RESIDUAL_CHECKS = (
 )
 
 
-def _vanish(residuals):
-    return all(r.is_zero() for r in residuals)
+def _residual(name, residuals, order, fmt, out, s=None):
+    s = s and int(s)
+    ok = all(r.is_zero() for r in residuals(order, s))
+    data = {"check": name, "order": order, "pass": ok}
+    if s:
+        data["s"] = s
+    _emit(data, fmt, out)
+    return 0 if ok else 1
 
 
-def _residual_command(name, help_text, default_order, s_choices, residuals):
-    def command(order, fmt, out, s=None):
-        s = s and int(s)
-        ok = _vanish(residuals(order, s))
-        data = {"check": name, "order": order, "pass": ok}
-        if s:
-            data["s"] = s
-        _emit(data, fmt, out)
-        if not ok:
-            sys.exit(1)
-
-    command = _order(default_order)(_common(command))
-    if s_choices:
-        command = click.option("--s", "s", required=True, type=click.Choice(
-            [str(v) for v in s_choices]))(command)
-    verify.command(name, help=help_text)(command)
-
-
-for _check in RESIDUAL_CHECKS:
-    _residual_command(*_check)
-
-
-@verify.command()
-@_order(100)
-@_common
 def integrality(order, fmt, out):
     """Integer coefficients of the mirror maps and K/5."""
     from .yukawa import integrality_suite
@@ -277,13 +213,9 @@ def integrality(order, fmt, out):
     ok = all(item["pass"] for item in items)
     _emit({"check": "integrality", "order": order, "pass": ok,
            "items": items}, fmt, out)
-    if not ok:
-        sys.exit(1)
+    return 0 if ok else 1
 
 
-@verify.command("all")
-@_order(24)
-@_common
 def verify_all(order, fmt, out):
     """Run every verification plus the golden suite."""
     from .golden import golden_report
@@ -292,7 +224,8 @@ def verify_all(order, fmt, out):
     for name, _, _, s_choices, residuals in RESIDUAL_CHECKS:
         for s in s_choices or (None,):
             checks.append({"check": f"{name} s={s}" if s else name,
-                           "pass": _vanish(residuals(order, s))})
+                           "pass": all(r.is_zero()
+                                       for r in residuals(order, s))})
     g_items = golden_report(order)
     checks.append({"check": "golden",
                    "pass": all(i["status"] != "fail" for i in g_items)})
@@ -301,8 +234,76 @@ def verify_all(order, fmt, out):
     ok = all(c["pass"] for c in checks)
     _emit({"check": "all", "order": order, "pass": ok, "checks": checks},
           fmt, out)
-    if not ok:
-        sys.exit(1)
+    return 0 if ok else 1
+
+
+def _at_least(minimum):
+    """Option type: an int >= minimum; argparse names it "integer"."""
+    def integer(text):
+        if int(text) < minimum:
+            raise ArgumentTypeError(f"{text} is not in the range x>={minimum}")
+        return int(text)
+    return integer
+
+
+def _parser(prog):
+    """The command tree; each command's parser names it and its function."""
+    root = _Parser(prog=prog, description=main.__doc__)
+    commands = root.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(group, run, name, order=None, minimum=8, doc=None):
+        doc = doc or run.__doc__
+        p = group.add_parser(name, help=doc.partition("\n\n")[0],
+                             description=doc)
+        p.set_defaults(run=run, parser=p)
+        if order:
+            p.add_argument("--order", type=_at_least(minimum), default=order)
+        p.add_argument("--format", dest="fmt", choices=("json", "text"),
+                       default="text")
+        p.add_argument("--out", help="Write the report to a file.")
+        return p
+
+    p = command(commands, mirror, "mirror", 64)
+    p.add_argument("--s", type=_at_least(3), default=5)
+    p.add_argument("--emit", choices=("z_of_q", "q_of_z", "f0_tilde"),
+                   default="z_of_q")
+    command(commands, yukawa, "yukawa", 24)
+    command(commands, instantons, "instantons").add_argument(
+        "--count", type=_at_least(1), default=10)
+    command(commands, prepotential_cmd, "prepotential", 16)
+    command(commands, eval_f0, "eval-f0", 12).add_argument(
+        "--t", dest="t_value", type=float, required=True)
+    command(commands, wronskian_cmd, "wronskian").add_argument(
+        "--input", dest="path", required=True,
+        help="File with one series record or a list of them.")
+    p = command(commands, search_relation, "search-relation", 40, 16)
+    p.add_argument("--mode", choices=("p1", "p2"), default="p2")
+    p.add_argument("--weight-bound", type=_at_least(2), default=12)
+    p.add_argument("--seed", type=int, default=0,
+                   help="Echoed in the output; neither mode uses it.")
+    command(commands, golden, "golden", 24, 24)
+    doc = "Verification drivers; exit 1 on any nonzero residual."
+    verify = commands.add_parser("verify", help=doc, description=doc)
+    checks = verify.add_subparsers(metavar="CHECK", required=True)
+    for name, doc, order, s_choices, residuals in RESIDUAL_CHECKS:
+        p = command(checks, partial(_residual, name, residuals), name, order,
+                    doc=doc)
+        if s_choices:
+            p.add_argument("--s", required=True,
+                           choices=[str(v) for v in s_choices])
+    command(checks, integrality, "integrality", 100)
+    command(checks, verify_all, "all", 24)
+    return root
+
+
+def main(args=None, prog_name="mirrormap"):
+    """Exact mirror-map and Yukawa-coupling computations."""
+    ns = vars(_parser(prog_name).parse_args(args))
+    run, parser = ns.pop("run"), ns.pop("parser")
+    try:
+        sys.exit(run(**ns) or 0)
+    except ArgumentTypeError as exc:  # a command's own input error
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -255,12 +255,11 @@ class PowerSeries:
         val = min(self.val, other.val)
         ends = [s.val + len(s.coeffs) for s in (self, other) if s.coeffs]
         hi = min(order, max(ends, default=val))
+        # a ZERO slot takes the coefficient itself: only shared exponents add
         cs = [ZERO] * (hi - val)
         for s in (self, other):
-            for i, c in enumerate(s.coeffs):
-                n = s.val + i
-                if n < order:
-                    cs[n - val] += c
+            for n, c in enumerate(s.coeffs[:max(hi - s.val, 0)], s.val - val):
+                cs[n] = c if cs[n] is ZERO else cs[n] + c
         return PowerSeries(self.var, val, cs, order)
 
     __radd__ = __add__

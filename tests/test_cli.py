@@ -4,14 +4,17 @@ import ast
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from importlib import import_module
+from io import StringIO
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 from mirrormap import golden, mirror, operators, relations, yukawa
 from mirrormap.cli import main
@@ -21,9 +24,23 @@ from mirrormap.series import PowerSeries, series_to_record
 from mirrormap.yukawa import yukawa_coupling
 
 
+class Runner:
+    """Runs the CLI in this process: ``exit_code`` is the code ``main``
+    exits with, and ``output`` its stdout followed by its stderr."""
+
+    @staticmethod
+    def invoke(cli, args):
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err), \
+                pytest.raises(SystemExit) as stop:
+            cli(args)
+        return SimpleNamespace(exit_code=stop.value.code,
+                               output=out.getvalue() + err.getvalue())
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 class TestMirrorCommand:
@@ -52,6 +69,14 @@ class TestMirrorCommand:
         assert res.exit_code == 0
         data = json.loads(target.read_text())
         assert data["coeffs"][0] == "1"
+
+    @pytest.mark.parametrize("target", ["", "missing/x.json"],
+                             ids=["directory", "missing-directory"])
+    def test_unwritable_out_is_usage_error(self, runner, tmp_path, target):
+        res = runner.invoke(main, ["yukawa", "--order", "8",
+                                   "--out", str(tmp_path / target)])
+        assert res.exit_code == 2
+        assert "Error" in res.output and "Traceback" not in res.output
 
 
 class TestYukawaCommands:
@@ -433,6 +458,24 @@ class TestSearchRelation:
         assert res.exit_code == 2
         assert "--weight-bound" in res.output
 
+    def test_abbreviated_option_is_usage_error(self, runner):
+        res = runner.invoke(main, ["search-relation", "--weight", "12"])
+        assert res.exit_code == 2 and "Error" in res.output
+
+
+class TestHelp:
+    @pytest.mark.parametrize("args, names", [
+        ([], ["mirror", "yukawa", "instantons", "prepotential", "eval-f0",
+              "wronskian", "search-relation", "golden", "verify"]),
+        (["verify"], ["hodge", "eq9", "eq19", "eq16", "eq25",
+                      "pandharipande", "duality", "integrality", "all"]),
+    ], ids=["top", "verify"])
+    def test_lists_every_command(self, runner, args, names):
+        res = runner.invoke(main, [*args, "--help"])
+        assert res.exit_code == 0
+        listed = re.findall(r"^ +(\S+)(?: {2,}|$)", res.output, re.M)
+        assert set(names) <= set(listed), res.output
+
 
 class TestTextFormat:
     def test_dict_of_lists(self, runner):
@@ -481,7 +524,11 @@ _LOADED = """
 import sys
 import mirrormap.cli
 if sys.argv[1:]:
-    mirrormap.cli.main(sys.argv[1:], standalone_mode=False)
+    try:
+        mirrormap.cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        if exc.code:
+            raise
 print(sorted(m for m in sys.modules
              if m == "json" or m.partition(".")[0] == "mirrormap"))
 """
@@ -507,6 +554,12 @@ class TestImportBoundary:
         argv = [a.format(input=path) for a in args]
         last = _fresh(_LOADED, *argv).splitlines()[-1]
         assert set(ast.literal_eval(last)) == loaded
+
+    def test_no_third_party_parser(self):
+        # the package has no runtime dependency: argparse parses the CLI
+        out = _fresh(_LOADED + "print('click' in sys.modules)\n",
+                     "yukawa", "--order", "8")
+        assert out.splitlines()[-1] == "False"
 
     def test_wronskian_names_the_function(self):
         # mirrormap.relations imports the submodule mirrormap.wronskian

@@ -26,6 +26,28 @@ class TestArithmetic:
         b = ps([3], val=1)
         assert (a + b).coeff(1) == 5
 
+    @pytest.mark.parametrize("a, b, total, shared", [
+        (ps([1, 2, 3], order=9), ps([4, 5], val=5, order=9),
+         (1, 2, 3, 0, 0, 4, 5), 0),
+        (ps([4, 5], val=5, order=9), ps([1, 2, 3], order=9),
+         (1, 2, 3, 0, 0, 4, 5), 0),
+        (ps([1, 2, 3], order=9), ps([4, 5, 6], val=1, order=9),
+         (1, 6, 8, 6), 2),
+        (ps([1, 2, 3], order=9), ps([4, 5, 6], val=2, order=3),
+         (1, 2, 7), 1),
+    ], ids=["disjoint", "disjoint-swapped", "overlap", "overlap-cut"])
+    def test_add_sums_only_shared_exponents(self, monkeypatch, a, b, total,
+                                            shared):
+        # a coefficient of one operand alone is copied, not added to zero
+        calls = []
+        real = Fraction.__add__
+        monkeypatch.setattr(Fraction, "__add__",
+                            lambda x, y: calls.append(1) or real(x, y))
+        s = a + b
+        monkeypatch.undo()
+        assert len(calls) <= shared
+        assert [s.coeff(n) for n in range(len(total))] == list(total)
+
     def test_mul_truncation_order_is_min_of_shifted_orders(self):
         a = ps([1, 1], order=5)          # known through z^4
         b = ps([1], val=2, order=4)      # known through z^3
