@@ -19,8 +19,8 @@ class _Parser(ArgumentParser):
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
-        # -1e-3 is a value, as -1 and -0.5 are, and not an option name
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # -1e-3 is a value, as -1, -0.5 and -inf are, and not an option name
+        self._negative_number_matcher = re.compile(r"(?i)-(\.?\d|inf|nan)")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -136,7 +136,7 @@ def wronskian_cmd(path, fmt, out):
         if not isinstance(records, list) or not records:
             raise ValueError("input contains no series")
         fs = [series_from_record(rec) for rec in records]
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ArgumentTypeError(f"{path}: {exc}")
     if len({f.var for f in fs}) > 1:
         raise ArgumentTypeError(f"{path}: series in different variables")

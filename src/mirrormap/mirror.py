@@ -2,28 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .operators import g_functions
 from .series import PowerSeries
 
 
-@dataclass(frozen=True)
-class MirrorData:
+class MirrorData(namedtuple("MirrorData",
+                             "s order q_of_z z_of_q f0_tilde g")):
     """The mirror-map bundle at one truncation order.
 
     q_of_z has valuation 1 in z; z_of_q is its compositional inverse,
     valuation 1 in q with unit leading coefficient; f0_tilde is the
     analytic solution pulled back through z(q); g holds the analytic
-    Frobenius components g_0..g_{s-2} in z.
+    Frobenius components g_0..g_{s-2} in z; ``_replace`` copies it.
     """
-    s: int
-    order: int
-    q_of_z: PowerSeries
-    z_of_q: PowerSeries
-    f0_tilde: PowerSeries
-    g: tuple
+    __slots__ = ()
 
 
 def mirror_pipeline(s: int, order: int) -> MirrorData:

@@ -3,7 +3,7 @@ quasi-homogeneous differential-polynomial relation search."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import count
 from math import isqrt
 from operator import mul
@@ -158,18 +158,12 @@ JET_CHAINS = (("u'", 1, 7),)
 Z_JET_CHAINS = (("z'", 1, 4),)
 
 
-@dataclass
-class RelationSearchResult:
-    mode: str
-    found: bool
-    weights_scanned: tuple
-    seed: int
-    weight: int | None = None
-    polynomial: DiffPolynomial | None = None
-    stratum_size: int | None = None
-    degree_set: tuple | None = None
-    verified_fresh: bool = False
-    verified_dual: bool = False
+class RelationSearchResult(namedtuple(
+        "RelationSearchResult", "mode found weights_scanned seed weight "
+        "polynomial stratum_size degree_set verified_fresh verified_dual",
+        defaults=(None, None, None, None, False, False))):
+    """A scan's outcome; the last six fields describe the relation found."""
+    __slots__ = ()
 
     def summary(self):
         out = {

@@ -34,21 +34,18 @@ def _det(matrix):
 
 
 def coefficient_rows(fs):
-    """One row per exponent and log part of the series' common known
-    window, holding that coefficient of each series in turn."""
+    """One row per log part at each exponent of the series' common known
+    window where some series stores a coefficient, holding that
+    coefficient of each series in turn. The other rows are zero and
+    constrain nothing; leaving them out keeps sparse exact (order-less)
+    inputs small."""
     fs = [_as_log(f) for f in fs]
     deg = max(f.log_degree for f in fs)
     order = min(f.order for f in fs)
-    val = min(min(p.val for p in f.parts) for f in fs)
-    # rows past every stored coefficient are zero and constrain nothing;
-    # this bound also keeps exact (order-less) inputs finite
-    end = max((p.val + len(p.coeffs) for f in fs for p in f.parts
-               if p.coeffs), default=val)
-    rows = []
-    for n in range(val, min(order, end)):
-        for j in range(deg + 1):
-            rows.append([f.part(j).coeff(n) for f in fs])
-    return rows
+    support = {n for f in fs for p in f.parts
+               for n in range(p.val, min(order, p.val + len(p.coeffs)))}
+    return [[f.part(j).coeff(n) for f in fs]
+            for n in sorted(support) for j in range(deg + 1)]
 
 
 def coefficient_dependence(fs):

@@ -7,18 +7,16 @@ t = log q: part k holds k! [t^k], and d/dt is LogSeries.euler.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .mirror import hodge_ratio, integrality_report, mirror_data
 from .series import LogSeries, PowerSeries, Q, ZERO, rat
 
 
-@dataclass(frozen=True)
-class InstantonTable:
+class InstantonTable(namedtuple("InstantonTable", "n N")):
     """Lambert-inverted instanton numbers n_l and N_l = [q^l]F = [q^l]K/l^3."""
-    n: tuple
-    N: tuple
+    __slots__ = ()
 
 
 def yukawa_from_definition(order: int) -> PowerSeries:

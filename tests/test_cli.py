@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from importlib import import_module
 from io import StringIO
 from pathlib import Path
@@ -132,6 +131,13 @@ class TestYukawaCommands:
         for t in ("1.0", "-inf", "1e308", "-1e300"):
             res = runner.invoke(main, ["eval-f0", f"--t={t}"])
             assert res.exit_code == 2, t
+
+    @pytest.mark.parametrize("t", ["-inf", "-nan", "-Infinity", "-INF"])
+    def test_eval_f0_names_a_non_finite_t(self, runner, t):
+        # a negative non-finite value is the option's value, as -1 is
+        res = runner.invoke(main, ["eval-f0", "--t", t])
+        assert res.exit_code == 2
+        assert "--t must be a finite number" in res.output
 
 
 class TestVerify:
@@ -278,7 +284,7 @@ class TestGolden:
 
         def relabelled(s, order):
             md = real(s, order)
-            return replace(md, z_of_q=md.z_of_q.relabel("z")) if s == 5 \
+            return md._replace(z_of_q=md.z_of_q.relabel("z")) if s == 5 \
                 else md
 
         monkeypatch.setattr(golden, "mirror_data", relabelled)
@@ -375,6 +381,14 @@ class TestWronskianCommand:
         assert res.exit_code == 0, res.output
         assert json.loads(res.output)["coeffs"] == \
             json.loads(path.read_text())["coeffs"]
+
+    def test_deeply_nested_input_is_usage_error(self, runner, tmp_path):
+        # the JSON decoder gives up with a RecursionError
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        res = runner.invoke(main, ["wronskian", "--input", str(path)])
+        assert res.exit_code == 2
+        assert f"Error: {path}: " in res.output
 
     def test_empty_input_is_usage_error(self, runner, tmp_path):
         path = tmp_path / "empty.json"
@@ -554,6 +568,20 @@ class TestImportBoundary:
         argv = [a.format(input=path) for a in args]
         last = _fresh(_LOADED, *argv).splitlines()[-1]
         assert set(ast.literal_eval(last)) == loaded
+
+    @pytest.mark.parametrize("args", [
+        ("mirror", "--s", "3", "--order", "8"),
+        ("yukawa", "--order", "8"),
+        ("verify", "hodge", "--s", "3"),
+        ("verify", "eq16"),
+        ("search-relation", "--mode", "p2"),
+    ], ids=["mirror", "yukawa", "verify-hodge", "verify-eq16", "search-p2"])
+    def test_records_load_no_dataclasses(self, args):
+        # the result records are named tuples; dataclasses would load
+        # inspect, ast, dis and tokenize on every such request
+        out = _fresh(_LOADED + "print(sorted({'dataclasses', 'inspect'}"
+                     " & set(sys.modules)))\n", *args)
+        assert out.splitlines()[-1] == "[]"
 
     def test_no_third_party_parser(self):
         # the package has no runtime dependency: argparse parses the CLI

@@ -44,6 +44,16 @@ class TestPipeline:
     def test_cache_returns_same_object(self):
         assert mirror_data(4, 12) is mirror_data(4, 12)
 
+    def test_cached_bundle_is_immutable(self):
+        # every caller of mirror_data shares the one cached bundle
+        md = mirror_data(3, 8)
+        z = md.z_of_q
+        with pytest.raises(AttributeError):
+            md.z_of_q = md.q_of_z
+        other = md._replace(z_of_q=md.q_of_z)
+        assert other is not md and other.z_of_q is md.q_of_z
+        assert mirror_data(3, 8) is md and md.z_of_q is z
+
 
 # SHA-256 of json.dumps(series_to_record(f)) for the order-101 bundles; the
 # golden tables stop at order 24 and `verify integrality` prints pass/fail

@@ -12,8 +12,8 @@ from mirrormap.series import (BIG_ORDER, LogSeries, PowerSeries, Q,
                                TruncationError, rat)
 from mirrormap.wronskian import (DiffPolynomial, IndeterminateWronskian,
                                  chain_ring, coefficient_dependence,
-                                 monomial_value, r_operator, r_substitute,
-                                 schwarzian, wronskian)
+                                 coefficient_rows, monomial_value, r_operator,
+                                 r_substitute, schwarzian, wronskian)
 
 
 def ps(coeffs, val=0, order=None, var="z"):
@@ -71,6 +71,16 @@ class TestWronskian:
         g = ps([2, 4], order=BIG_ORDER)
         assert coefficient_dependence([f, g]) == [[Q(-2), Q(1)]]
         assert wronskian([f, g]).is_zero()
+
+    def test_sparse_exact_inputs_give_one_row_per_stored_exponent(self):
+        # z^-N, z^-N and 1 store coefficients at two exponents only; the
+        # N - 1 exponents between them give zero rows, which are left out
+        n = 10 ** 5
+        fs = [PowerSeries.monomial("z", -n), PowerSeries.monomial("z", -n),
+              PowerSeries.one("z")]
+        assert coefficient_rows(fs) == [[1, 1, 0], [0, 0, 1]]
+        assert coefficient_dependence(fs) == [[-1, 1, 0]]
+        assert wronskian(fs).is_zero()
 
     @pytest.mark.parametrize("order", [6, BIG_ORDER])
     def test_zero_series_is_dependent(self, order):
